@@ -833,6 +833,46 @@ def test_ngram_decontamination_token_alignment(ray_session, tmp_path):
     assert int(out["n_hits"].iloc[0]) >= 1
 
 
+@pytest.mark.parametrize(
+    "name,sql",
+    [
+        ("benchmark_contamination", "CONTAMINATION_SQL"),
+        ("ngram_decontamination", "NGRAM_DECONTAM_SQL"),
+    ],
+)
+def test_contamination_no_hits_matches_oracle(ray_session, tmp_path, name, sql):
+    """Probes absent from the rest of the corpus: the engine returns the
+    oracle's typed zero-row (doc_id, n_hits) frame, not a frame with no
+    columns, under tools/preflight.py's compare."""
+    import sys
+
+    from tilers_tools_ray.relational import queries as Q
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+    import preflight
+
+    probes = [
+        f"probe{i} quixotic zephyr {i} vexing jackdaw number {i} unique tail"
+        for i in range(5)
+    ]
+    rest = [
+        f"ordinary corpus text {i} about maps tiles and rasters" for i in range(12)
+    ]
+    sf = _mini_docs(tmp_path, probes + rest)
+    got = preflight._to_pandas(getattr(Q, name)(sf))
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')"
+    )
+    exp = con.execute(getattr(Q, sql)).df()
+    assert len(exp) == 0
+    g, x = preflight._normalize(got), preflight._normalize(exp)
+    assert list(g.columns) == list(x.columns) == ["doc_id", "n_hits"]
+    assert [str(t) for t in got.dtypes] == ["int64", "int64"]
+    assert len(g) == len(x)
+    assert preflight._value_hash(g) == preflight._value_hash(x)
+
+
 def test_train_val_test_split_deterministic_partition(ray_session):
     """The split is a pure function of doc_id: two runs agree exactly,
     the three classes partition the corpus, and the assignment matches

@@ -204,6 +204,8 @@ def test_lance_source_contract():
     if not have_lance:
         with pytest.raises(ImportError, match="parquet with the identical"):
             pyramid.images_dataset("/tmp/nonexistent.lance")
+        with pytest.raises(ImportError, match="parquet with the identical"):
+            pyramid.auto_zoom("/tmp/nonexistent.lance")
 
 
 def test_image_quality_metrics(ray_session):

@@ -1,20 +1,31 @@
 """The flagship pipeline: images table → tile pyramid (SURVEY.md §3.1).
 
-Engine equivalent of ``gdal_tiler.py``, as one streaming Ray Data
-pipeline per level:
+Engine equivalent of ``gdal_tiler.py``, as streaming Ray Data jobs:
 
-  read images (column-pruned)
-   → map_batches(FragmentEmitter actor pool)      fan-out, M1/M4–M7
-   → groupby(part)[.map_groups]                   the ONE shuffle (A1)
+  base level
+   read images (column-pruned)
+   → map_batches(FragmentEmitter) as stateless tasks  fan-out, M1/M4–M7,
+                                                      fused with the read
+   → groupby(part)[.map_groups]                       the ONE shuffle (A1)
         plain: composite_part_group
         salted: groupby(part, salt) partials → groupby(part) merge
    → per-part atomic parquet commit + lineage row (§4.3)
-  then per overview level z-1 … z_min:
-  read level z parquet → add_parent_part → groupby(part) downsample (A2)
+  overview cascade(s), down to z_min
+   read level z → part = ancestor cell at the anchor zoom → groupby(part)
+   → cascade_part_group builds levels z-1 … anchor locally (A2)
 
-Control returns to the driver only between levels (same as the
-reference's overview loop). Resume: committed (level, part) pairs are
-broadcast and pruned at the emitter — replays only incomplete tiles.
+Anchor rule: the coarsest zoom ≥ z_min whose largest cell holds at most
+``CASCADE_MAX_TILES`` tiles of the level the cascade reads (counted from
+that level's manifests). Levels left above the anchor repeat the rule
+from the anchor level, so a build usually runs ONE cascade.
+
+The auto-zoom scan is a driver-side read of two georef columns. The
+salt plan (§4.2) and the cascade anchors are recorded in the lineage
+tree: a resume with the same salt key reuses the plan instead of
+re-running the census, and a resume that finds overview parts committed
+at another anchor zoom refuses rather than mix part ids. Committed
+(level, part) pairs are broadcast and pruned at the emitter — a resume
+replays only incomplete tiles.
 """
 
 from __future__ import annotations
@@ -51,25 +62,30 @@ FRAG_COLUMNS = [
     "poly",
 ]
 
-GEOREF_COLUMNS = ["image_id", "w", "h", "gt", "srs", "zorder", "poly"]
-
 #: columns silently dropped from a requested list when the input table
 #: lacks them (older tables predate the order-2 GCP ``poly`` column);
 #: every other missing column still fails loudly in read_parquet
 OPTIONAL_COLUMNS = frozenset({"poly"})
 
+#: largest cascade group, in tiles of the level the cascade reads:
+#: 4^6, the group a six-level cascade over a full cell holds
+CASCADE_MAX_TILES = 4**6
+
+
+def _parquet_files(images_path):
+    if os.path.isfile(images_path):
+        return [images_path]
+    return [
+        os.path.join(images_path, f)
+        for f in sorted(os.listdir(images_path))
+        if f.endswith(".parquet")
+    ]
+
 
 def _prune_optional(images_path, columns):
     try:
-        if os.path.isfile(images_path):
-            names = set(pq.read_schema(images_path).names)
-        else:
-            f = next(
-                p for p in sorted(os.listdir(images_path))
-                if p.endswith(".parquet")
-            )
-            names = set(pq.read_schema(os.path.join(images_path, f)).names)
-    except (OSError, StopIteration):
+        names = set(pq.read_schema(_parquet_files(images_path)[0]).names)
+    except (OSError, IndexError):
         return columns
     return [c for c in columns if c in names or c not in OPTIONAL_COLUMNS]
 
@@ -88,8 +104,8 @@ def images_dataset(images_path, columns=None, num_blocks=None):
         )
     columns = _prune_optional(images_path, columns or FRAG_COLUMNS)
     if num_blocks is None:
-        # block count sets downstream TASK granularity: ~8 blocks/CPU
-        # keeps the actor-pool tail short (per-image work is highly
+        # block count sets downstream TASK granularity: ~4 blocks/CPU
+        # keeps the emitter tail short (per-image work is highly
         # variable); a single big parquet otherwise reads as ONE task
         try:
             import ray
@@ -104,22 +120,22 @@ def images_dataset(images_path, columns=None, num_blocks=None):
     )
 
 
-def _effective_res(batch: pa.Table, profile="mercator") -> pa.Table:
+def _effective_res(batch: pa.Table, profile="mercator") -> np.ndarray:
     """Per-image source resolution in dest-PROFILE units (meters for
     mercator, degrees for geodetic). Vectorized: geotransforms arrive
     as one (n, 6) float view of the list column, srs strings are
-    factorized, and each DISTINCT srs (a handful per corpus — one
-    projection parse each, not one per image) takes a single
+    dictionary-encoded, and each DISTINCT srs (a handful per corpus —
+    one projection parse each, not one per image) takes a single
     array-kernel pass; tmerc/conic ``inverse`` is numpy-vectorized."""
     n = batch.num_rows
     gt = np.asarray(
         batch.column("gt").combine_chunks().flatten(), dtype=np.float64
     ).reshape(n, 6)
-    srs = np.asarray(batch.column("srs").to_pylist(), dtype=object)
+    srs = batch.column("srs").combine_chunks().dictionary_encode()
+    inv = srs.indices.to_numpy(zero_copy_only=False)
     res = np.abs(gt[:, 1])
     deg_per_m = 180.0 / tg.ORIGIN
-    uniq, inv = np.unique(srs, return_inverse=True)
-    for j, s in enumerate(uniq):
+    for j, s in enumerate(srs.dictionary.to_pylist()):
         sel = inv == j
         tm = raster._tmerc_of(s)
         if tm is not None:
@@ -135,22 +151,27 @@ def _effective_res(batch: pa.Table, profile="mercator") -> pa.Table:
                 res[sel] *= deg_per_m
         elif s == "EPSG:4326":
             res[sel] /= deg_per_m
-    return pa.table({"res": pa.array(res, pa.float64())})
+    return res
 
 
 def auto_zoom(images_path, profile="mercator"):
-    """Job-wide base zoom: finest per-image optimal zoom (distributed
-    min-reduce over the georef columns only — no pixel decode). For a
-    RasterGrid profile the base zoom is the canvas's own (1 dest px =
-    1 canvas px)."""
+    """Job-wide base zoom: finest per-image optimal zoom, from a
+    driver-side read of the ``gt``/``srs`` columns only (no pixel
+    decode, no Ray job — two small columns per image). For a RasterGrid
+    profile the base zoom is the canvas's own (1 dest px = 1 canvas
+    px)."""
     if isinstance(profile, tg.RasterGrid):
         return profile.z_base
-    ds = images_dataset(images_path, columns=["gt", "srs"])
-    min_res = ds.map_batches(
-        lambda b, _p=profile: _effective_res(b, _p), batch_format="pyarrow"
-    ).min("res")
-    if min_res is None:
+    from ..sources import lance_source
+
+    columns = ["gt", "srs"]
+    if lance_source.is_lance_uri(images_path):
+        table = lance_source.read_lance_table(images_path, columns)
+    else:
+        table = pq.read_table(_parquet_files(images_path), columns=columns)
+    if table.num_rows == 0:
         raise ValueError(f"empty images table: {images_path}")
+    min_res = float(_effective_res(table, profile).min())
     if profile == "geodetic":
         return int(tg.auto_base_zoom_geodetic(min_res))
     return int(tg.auto_base_zoom(min_res))
@@ -158,14 +179,8 @@ def auto_zoom(images_path, profile="mercator"):
 
 def _count_rows(images_path):
     """Total input rows (= zorder span) from parquet footers only."""
-    if os.path.isfile(images_path):
-        return int(pq.read_metadata(images_path).num_rows)
-    return int(
-        sum(
-            pq.read_metadata(os.path.join(images_path, f)).num_rows
-            for f in os.listdir(images_path)
-            if f.endswith(".parquet")
-        )
+    return sum(
+        pq.read_metadata(f).num_rows for f in _parquet_files(images_path)
     )
 
 
@@ -199,6 +214,23 @@ def make_salt_plan(census_df, threshold=2000, target=1000):
     }
 
 
+def _recorded_salt_plan(out_dir, images_path, z_base, z_part, threshold, target, profile):
+    """The salt plan recorded in the lineage tree under (threshold,
+    target, z_part), or a fresh census + plan recorded there. Reuse is
+    exact: with nearest resampling salted and unsalted builds write the
+    same bytes, so the plan only decides how work is split."""
+    key = {"threshold": threshold, "target": target, "z_part": z_part}
+    rec = lineage.read_record(out_dir, "salt_plan")
+    if rec is not None and rec["key"] == key:
+        return {int(p): int(s) for p, s in rec["plan"].items()}
+    census = census_parts(images_path, z_base, z_part, profile=profile)
+    plan = make_salt_plan(census, threshold, target)
+    lineage.write_record(
+        out_dir, "salt_plan", {"key": key, "plan": {str(p): s for p, s in plan.items()}}
+    )
+    return plan
+
+
 def fragments_dataset(
     images_path,
     z_base,
@@ -209,72 +241,55 @@ def fragments_dataset(
     n_zorder=1,
     done_parts=None,
     batch_size=32,
-    concurrency=None,
     profile="mercator",
     on_bad="raise",
 ):
-    """images → fragment rows (the pre-shuffle fan-out stage)."""
+    """images → fragment rows (the pre-shuffle fan-out stage).
+
+    The emitter runs as stateless 1-CPU tasks, not an actor pool: its
+    only state is two small broadcasts, Ray Data fuses the tasks with
+    the parquet read, and a task releases its CPU between blocks, so the
+    groupby reduce behind it always gets scheduled (a fixed actor pool
+    held CPUs ahead of the reduce and deadlocked 1–2 CPU clusters). The
+    per-task cache builds the emitter once per task, not once per
+    batch."""
     import ray
 
-    ds = images_dataset(images_path)
-    try:
-        _ncpu_total = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        _ncpu_total = 8
-    if concurrency is None:
-        # fixed-size actor pool at 7/8 of cluster CPUs — PROPORTIONAL
-        # headroom for the read/reduce stages (a fixed "-2" skews
-        # cross-parallelism comparisons: 2 of 8 is 25%, 2 of 32 is 6%;
-        # on a real N-node cluster per-node overheads replicate, so the
-        # proportion is the faithful model). Fixed beats autoscaling:
-        # pool ramp-up from min_size=1 dominates short stages.
-        ncpu = _ncpu_total
-        # never claim EVERY cpu: at tiny clusters (2-4) a full-width
-        # fixed pool starves the groupby reduce tasks behind it and the
-        # executor deadlocks (observed at num_cpus=2: 2 actors held both
-        # CPUs while the sort waited forever)
-        concurrency = max(1, min(ncpu - 1, ncpu * 7 // 8))
-    salt_ref = ray.put(salt_plan) if salt_plan else None
-    done_ref = ray.put(done_parts) if done_parts else None
     ctor_kwargs = {
         "z_base": z_base,
         "z_part": z_part,
         "resampling": resampling,
-        "salt_plan": salt_ref,
+        "salt_plan": ray.put(salt_plan) if salt_plan else None,
         "n_zorder": n_zorder,
-        "done_parts": done_ref,
+        "done_parts": ray.put(done_parts) if done_parts else None,
         "profile": profile,
         "on_bad": on_bad,
     }
-    if _ncpu_total <= 1:
-        # 1-CPU cluster: a 1-actor pool would hold the ONLY cpu ahead
-        # of the groupby reduce — the num_cpus=2 deadlock shape, one
-        # worse. Run the emitter as stateless tasks instead: tasks
-        # release the cpu between blocks so the reduce can schedule.
-        # The per-task cache keeps construction once per block, not
-        # once per batch.
-        _state = {}
+    _state = {}
 
-        def _emit_stateless(batch):
-            em = _state.get("em")
-            if em is None:
-                em = _state["em"] = tiling.FragmentEmitter(**ctor_kwargs)
-            return em(batch)
+    def emit(batch):
+        em = _state.get("em")
+        if em is None:
+            em = _state["em"] = tiling.FragmentEmitter(**ctor_kwargs)
+        return em(batch)
 
-        return ds.map_batches(
-            _emit_stateless,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            num_cpus=1,
-        )
-    return ds.map_batches(
-        tiling.FragmentEmitter,
-        fn_constructor_kwargs=ctor_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-        concurrency=concurrency,
+    return images_dataset(images_path).map_batches(
+        emit, batch_format="pyarrow", batch_size=batch_size, num_cpus=1
     )
+
+
+def _composite(frags, salted, wrap=lambda fn: fn):
+    """The base-level shuffle: one groupby(part) composite, or salted
+    (part, salt) partials merged per part. ``wrap`` turns the per-part
+    reduce into its committing form."""
+    if salted:
+        frags = frags.groupby(["part", "salt"]).map_groups(
+            tiling.partial_composite_group, batch_format="pyarrow"
+        )
+        reduce_fn = tiling.merge_partials_group
+    else:
+        reduce_fn = tiling.composite_part_group
+    return frags.groupby("part").map_groups(wrap(reduce_fn), batch_format="pyarrow")
 
 
 def base_tiles(
@@ -286,7 +301,6 @@ def base_tiles(
     salt_plan=None,
     n_zorder=1,
     batch_size=16,
-    concurrency=None,
     profile="mercator",
 ):
     """Pure (no side effects) base-tile Dataset — tests / entry()."""
@@ -302,30 +316,33 @@ def base_tiles(
         salt_plan=salt_plan,
         n_zorder=n_zorder,
         batch_size=batch_size,
-        concurrency=concurrency,
         profile=profile,
     )
-    if salt_plan:
-        partials = frags.groupby(["part", "salt"]).map_groups(
-            tiling.partial_composite_group, batch_format="pyarrow"
-        )
-        return partials.groupby("part").map_groups(
-            tiling.merge_partials_group, batch_format="pyarrow"
-        )
-    return frags.groupby("part").map_groups(
-        tiling.composite_part_group, batch_format="pyarrow"
-    )
+    return _composite(frags, bool(salt_plan))
+
+
+def _with_part(batch, z_part, done=()):
+    """Replace the ``part`` column with each tile's ancestor cell at
+    ``z_part``, dropping tiles whose part is in ``done``."""
+    part = tiling.part_of_key(batch.column("tile_key").to_numpy(), z_part)
+    if "part" in batch.schema.names:
+        batch = batch.drop_columns(["part"])
+    batch = batch.append_column("part", pa.array(part, pa.int64()))
+    if len(done):
+        batch = batch.filter(pa.array(~np.isin(part, done)))
+    return batch
 
 
 def overview_tiles(tiles_ds, z_child, *, z_part=None, overview_resampling="box"):
     """One overview step: tiles at z_child → tiles at z_child-1 (pure)."""
     if z_part is None:
         z_part = default_z_part(z_child - 1)
-    with_parent = tiles_ds.map_batches(
-        lambda b: tiling.add_parent_part(b, z_part), batch_format="pyarrow"
-    )
-    return with_parent.groupby("part").map_groups(
-        lambda g, _m=overview_resampling: tiling.downsample_part_group(g, _m),
+    return tiles_ds.map_batches(
+        lambda b, _zp=z_part: _with_part(b, _zp), batch_format="pyarrow"
+    ).groupby("part").map_groups(
+        lambda g, _z=z_child, _m=overview_resampling: tiling.cascade_part_group(
+            g, _z - 1, _z, _m
+        )[_z - 1],
         batch_format="pyarrow",
     )
 
@@ -335,23 +352,32 @@ def overview_tiles(tiles_ds, z_child, *, z_part=None, overview_resampling="box")
 # ---------------------------------------------------------------------------
 
 
-def _commit_group_fn(out_dir, z, reduce_fn):
-    """Wrap a part-reduce fn into a commit-to-disk fn returning one
-    lineage row. Runs inside the reduce task → per-partition atomic
-    checkpoint (§4.3)."""
+def _commit_group_fn(out_dir, reduce_fn):
+    """Wrap a part reduce returning {z: tile rows} into a commit-to-disk
+    fn returning one lineage row per level. Runs inside the reduce task
+    → per-partition atomic checkpoint (§4.3)."""
 
     def commit(group: pa.Table) -> pa.Table:
         t0 = time.monotonic()
-        tiles_tbl = reduce_fn(group)
-        part = int(tiles_tbl.column("part")[0].as_py())
-        manifest = _part_manifest(z, part, tiles_tbl, t0)
-        lineage.commit_part(out_dir, z, part, tiles_tbl, manifest)
+        part = int(group.column("part")[0].as_py())
+        rows = {"z": [], "part": [], "n_tiles": [], "checksum_xor": []}
+        for z, tbl in reduce_fn(group).items():
+            # per-level INCREMENT (resetting t0 per commit) — a shared
+            # t0 would make every cascade level's wall_s report the
+            # whole cascade compute, multiply-counting it in rollups
+            manifest = _part_manifest(z, part, tbl, t0)
+            t0 = time.monotonic()
+            lineage.commit_part(out_dir, z, part, tbl, manifest)
+            rows["z"].append(z)
+            rows["part"].append(part)
+            rows["n_tiles"].append(tbl.num_rows)
+            rows["checksum_xor"].append(manifest["checksum_xor"])
         return pa.table(
             {
-                "z": pa.array([z], pa.int32()),
-                "part": pa.array([part], pa.int64()),
-                "n_tiles": pa.array([tiles_tbl.num_rows], pa.int64()),
-                "checksum_xor": pa.array([manifest["checksum_xor"]], pa.int64()),
+                "z": pa.array(rows["z"], pa.int32()),
+                "part": pa.array(rows["part"], pa.int64()),
+                "n_tiles": pa.array(rows["n_tiles"], pa.int64()),
+                "checksum_xor": pa.array(rows["checksum_xor"], pa.int64()),
             }
         )
 
@@ -384,6 +410,22 @@ def _part_manifest(z, part, tiles_tbl, t0):
     }
 
 
+def _mark_levels(out_dir, levels, stats, n_done):
+    """Write each level's completion marker from the commit rows of
+    this run plus the ``n_done`` parts an earlier run committed."""
+    for z in levels:
+        lv = stats[stats["z"] == z] if len(stats) else stats
+        lineage.mark_level_complete(
+            out_dir,
+            z,
+            {
+                "z": z,
+                "parts": int(len(lv)) + n_done,
+                "tiles": int(lv["n_tiles"].sum()) if len(lv) else 0,
+            },
+        )
+
+
 def _read_level(out_dir, z, columns=None):
     import ray.data as rd
 
@@ -402,6 +444,71 @@ def _read_level(out_dir, z, columns=None):
     )
 
 
+def cascade_anchor(manifests, z_read, z_min):
+    """Coarsest zoom ≥ z_min whose largest cell holds at most
+    ``CASCADE_MAX_TILES`` tiles of level ``z_read``. ``manifests`` are
+    that level's ({part: manifest}); a part id is its cell's tile key,
+    so a cell at zoom ``a`` at or above the part zoom counts its parts'
+    ``n_tiles`` exactly, and one below a part is bounded by the part's
+    count and by 4^(z_read - a)."""
+    parts = np.fromiter(manifests, dtype=np.int64, count=len(manifests))
+    n = np.array([m["n_tiles"] for m in manifests.values()], dtype=np.int64)
+    pz = tg.unpack_key(parts)[0]
+    for a in range(z_min, z_read - 1):  # z_read - 1 always qualifies
+        coarse = pz >= a
+        _, cell = np.unique(tiling.part_of_key(parts[coarse], a), return_inverse=True)
+        largest = max(
+            np.bincount(cell, weights=n[coarse]).max(initial=0),
+            n[~coarse].max(initial=0),
+        )
+        if min(largest, 4 ** (z_read - a)) <= CASCADE_MAX_TILES:
+            return a
+    return z_read - 1
+
+
+def _write_cascade(out_dir, z_read, anchor, overview_resampling):
+    """Levels z_read-1 … anchor in ONE shuffle: every tile of level
+    z_read is grouped by its ancestor cell at the anchor zoom, and each
+    group builds its whole sub-pyramid locally. Parts already committed
+    at every level are pruned before the shuffle."""
+    levels = range(anchor, z_read)
+    if all(lineage.level_is_complete(out_dir, z) for z in levels):
+        return
+    committed = [lineage.done_parts(out_dir, z) for z in levels]
+    for z, done in zip(levels, committed):
+        zs = set(tg.unpack_key(np.array(sorted(done), dtype=np.int64))[0].tolist())
+        if zs - {anchor}:
+            raise ValueError(
+                f"resume anchor mismatch for {out_dir}: level {z} has parts "
+                f"committed at anchor zoom(s) {sorted(zs - {anchor})}, this "
+                f"run cascades from z={z_read} to anchor {anchor} — use a "
+                "fresh output dir (mixing anchors would mix part ids)"
+            )
+    anchors = lineage.read_record(out_dir, "anchors") or {}
+    lineage.write_record(out_dir, "anchors", {**anchors, str(z_read): anchor})
+    done = frozenset.intersection(*committed)
+    done_arr = np.array(sorted(done), dtype=np.int64)
+    stats = (
+        _read_level(out_dir, z_read)
+        .map_batches(
+            lambda b, _a=anchor, _d=done_arr: _with_part(b, _a, _d),
+            batch_format="pyarrow",
+        )
+        .groupby("part")
+        .map_groups(
+            _commit_group_fn(
+                out_dir,
+                lambda g, _a=anchor, _z=z_read, _m=overview_resampling: (
+                    tiling.cascade_part_group(g, _a, _z, _m)
+                ),
+            ),
+            batch_format="pyarrow",
+        )
+        .to_pandas()
+    )
+    _mark_levels(out_dir, levels, stats, len(done))
+
+
 def write_pyramid(
     images_path,
     out_dir,
@@ -413,7 +520,6 @@ def write_pyramid(
     salt_threshold=1000,
     salt_target=400,
     batch_size=16,
-    concurrency=None,
     profile="mercator",
     overview_resampling="box",
     on_bad_image="raise",
@@ -426,7 +532,8 @@ def write_pyramid(
 
     Resume semantics: committed (level, part) partitions are skipped —
     fragment emission prunes done parts (an image whose parts are all
-    committed is never decoded), and completed levels short-circuit."""
+    committed is never decoded), the recorded salt plan is reused, and
+    completed levels short-circuit."""
     if z_base is None:
         z_base = auto_zoom(images_path, profile=profile)
     os.makedirs(out_dir, exist_ok=True)
@@ -461,8 +568,10 @@ def write_pyramid(
                 )
             salt = False
         if salt == "auto" or salt is True:
-            census = census_parts(images_path, z_base, z_part, profile=profile)
-            salt_plan = make_salt_plan(census, salt_threshold, salt_target)
+            salt_plan = _recorded_salt_plan(
+                out_dir, images_path, z_base, z_part, salt_threshold,
+                salt_target, profile,
+            )
             n_zorder = _count_rows(images_path)
         elif isinstance(salt, dict):
             salt_plan = salt
@@ -475,145 +584,23 @@ def write_pyramid(
             n_zorder=n_zorder,
             done_parts=done,
             batch_size=batch_size,
-            concurrency=concurrency,
             profile=profile,
             on_bad=on_bad_image,
         )
-        if salt_plan:
-            partials = frags.groupby(["part", "salt"]).map_groups(
-                tiling.partial_composite_group, batch_format="pyarrow"
-            )
-            out = partials.groupby("part").map_groups(
-                _commit_group_fn(out_dir, z_base, tiling.merge_partials_group),
-                batch_format="pyarrow",
-            )
-        else:
-            out = frags.groupby("part").map_groups(
-                _commit_group_fn(out_dir, z_base, tiling.composite_part_group),
-                batch_format="pyarrow",
-            )
-        stats = out.to_pandas()  # tiny: one row per part
-        lineage.mark_level_complete(
-            out_dir,
-            z_base,
-            {
-                "z": z_base,
-                "parts": int(len(stats)) + len(done),
-                "tiles": int(stats["n_tiles"].sum()) if len(stats) else 0,
-            },
+        stats = _composite(
+            frags,
+            bool(salt_plan),
+            lambda fn: _commit_group_fn(out_dir, lambda g: {z_base: fn(g)}),
+        ).to_pandas()  # tiny: one row per part
+        _mark_levels(out_dir, [z_base], stats, len(done))
+    # --- overview cascades down to z_min -----------------------------------
+    z_read = z_base
+    while z_read > z_min:
+        anchor = cascade_anchor(
+            lineage.read_manifests(out_dir, z_read), z_read, z_min
         )
-    # --- overview cascade: ONE shuffle for levels z_base-1 … anchor_z ------
-    # (one per-level groupby each was pure fixed overhead; a z_min-cell
-    # group holds ≤ 4^span base tiles, so the whole sub-pyramid builds
-    # locally inside the reduce). Levels above the anchor (tiny) fall
-    # back to the per-level loop.
-    anchor_z = max(z_min, z_base - 6)
-    cascade = [z for z in range(z_base - 1, anchor_z - 1, -1)]
-    if cascade and not all(lineage.level_is_complete(out_dir, z) for z in cascade):
-        done_anchor = None
-        for z in cascade:
-            d = lineage.done_parts(out_dir, z)
-            done_anchor = d if done_anchor is None else (done_anchor & d)
-        child = _read_level(out_dir, z_base)
-        done_arr = np.array(sorted(done_anchor or ()), dtype=np.int64)
-
-        def _anchor(batch, _az=anchor_z, _done=done_arr):
-            keys = batch.column("tile_key").to_numpy()
-            z_, x_, y_ = tg.unpack_key(keys)
-            shift = z_ - _az
-            part = tg.pack_key(np.full_like(z_, _az), x_ >> shift, y_ >> shift)
-            if "part" in batch.schema.names:
-                batch = batch.drop_columns(["part"])
-            batch = batch.append_column("part", pa.array(part, pa.int64()))
-            if len(_done):
-                batch = batch.filter(pa.array(~np.isin(part, _done)))
-            return batch
-
-        def _commit_cascade(group: pa.Table) -> pa.Table:
-            t0 = time.monotonic()
-            per_level = tiling.cascade_part_group(
-                group, anchor_z, z_base, overview_resampling
-            )
-            part = int(group.column("part")[0].as_py())
-            rows = {"z": [], "part": [], "n_tiles": [], "checksum_xor": []}
-            for z, tbl in per_level.items():
-                # per-level INCREMENT (resetting t0 per commit) — a
-                # shared t0 made every level's wall_s report the whole
-                # cascade compute, quadruple-counting it in rollups
-                manifest = _part_manifest(z, part, tbl, t0)
-                t0 = time.monotonic()
-                lineage.commit_part(out_dir, z, part, tbl, manifest)
-                rows["z"].append(z)
-                rows["part"].append(part)
-                rows["n_tiles"].append(tbl.num_rows)
-                rows["checksum_xor"].append(manifest["checksum_xor"])
-            return pa.table(
-                {
-                    "z": pa.array(rows["z"], pa.int32()),
-                    "part": pa.array(rows["part"], pa.int64()),
-                    "n_tiles": pa.array(rows["n_tiles"], pa.int64()),
-                    "checksum_xor": pa.array(rows["checksum_xor"], pa.int64()),
-                }
-            )
-
-        stats = (
-            child.map_batches(_anchor, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(_commit_cascade, batch_format="pyarrow")
-            .to_pandas()
-        )
-        for z in cascade:
-            lv = stats[stats["z"] == z] if len(stats) else stats
-            lineage.mark_level_complete(
-                out_dir,
-                z,
-                {
-                    "z": z,
-                    "parts": int(len(lv)),
-                    "tiles": int(lv["n_tiles"].sum()) if len(lv) else 0,
-                },
-            )
-    # --- remaining top levels (z < anchor_z): per-level loop ---------------
-    for z in range(anchor_z - 1, z_min - 1, -1):
-        if lineage.level_is_complete(out_dir, z):
-            continue
-        z_part = default_z_part(z)
-        done = lineage.done_parts(out_dir, z)
-        child = _read_level(out_dir, z + 1)
-        if done:
-            done_arr = np.array(sorted(done), dtype=np.int64)
-
-            def _prune(batch, _done=done_arr, _zp=z_part):
-                b = tiling.add_parent_part(batch, _zp)
-                mask = ~np.isin(b.column("part").to_numpy(), _done)
-                return b.filter(pa.array(mask))
-
-            with_parent = child.map_batches(_prune, batch_format="pyarrow")
-        else:
-            with_parent = child.map_batches(
-                lambda b, _zp=z_part: tiling.add_parent_part(b, _zp),
-                batch_format="pyarrow",
-            )
-        out = with_parent.groupby("part").map_groups(
-            _commit_group_fn(
-                out_dir,
-                z,
-                lambda g, _m=overview_resampling: tiling.downsample_part_group(
-                    g, _m
-                ),
-            ),
-            batch_format="pyarrow",
-        )
-        stats = out.to_pandas()
-        lineage.mark_level_complete(
-            out_dir,
-            z,
-            {
-                "z": z,
-                "parts": int(len(stats)) + len(done),
-                "tiles": int(stats["n_tiles"].sum()) if len(stats) else 0,
-            },
-        )
+        _write_cascade(out_dir, z_read, anchor, overview_resampling)
+        z_read = anchor
     return lineage.job_summary(out_dir)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 
 def _normalize(m):
@@ -96,22 +97,47 @@ def brute_topk(emb_ds, query_ids, query_vecs, k=10, concurrency=(1, 8)):
 # ---------------------------------------------------------------------------
 
 
+def _sample_hash(vec_ids, seed):
+    """Per-row uint64 hash of (vec_id, seed): a splitmix64 finalizer
+    over pandas' stable value hash, so it depends on the row alone."""
+    h = pd.util.hash_array(np.asarray(vec_ids)) ^ np.uint64(
+        (seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    )
+    with np.errstate(over="ignore"):
+        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
 def _seeded_sample(emb_ds, cap, seed=11):
     """Fixed-size seeded sample for centroid training.
 
     Bounds driver materialization to ~``cap`` rows regardless of corpus
     size (k-means-lite needs 10^3-10^4 points whether the table has 1e5
     or 1e12 rows): a metadata-only count() picks the sampling fraction,
-    the sampled stream is limit()ed to cap, and rows are sorted by
-    vec_id so centroid init is run-deterministic (take_all block order
-    is execution-order-dependent in Ray 2.49)."""
+    rows whose (vec_id, seed) hash falls under that fraction of the
+    hash range are kept, and the driver keeps the ``cap`` smallest
+    hashes. Membership depends on each row alone, never on block or
+    arrival order, so two calls return the same rows; they come back
+    sorted by vec_id for a run-deterministic centroid init."""
     n = emb_ds.count()
     if n <= cap:
         rows = emb_ds.take_all()
     else:
-        # 1.25x slack so limit() is the binding cap, not sample variance
-        frac = min(1.0, (cap * 1.25) / n)
-        rows = emb_ds.random_sample(frac, seed=seed).limit(cap).take_all()
+        # 1.25x slack so the cap binds, not sample variance
+        thr = np.uint64(min(int((cap * 1.25) / n * 2**64), 2**64 - 1))
+
+        def keep(b: pa.Table, _seed=seed, _thr=thr) -> pa.Table:
+            h = _sample_hash(b.column("vec_id").to_numpy(zero_copy_only=False), _seed)
+            sel = h < _thr
+            return b.filter(pa.array(sel)).append_column(
+                "__h", pa.array(h[sel], pa.uint64())
+            )
+
+        kept = emb_ds.map_batches(keep, batch_format="pyarrow").take_all()
+        rows = sorted(kept, key=lambda r: r["__h"])[:cap]
+        for r in rows:
+            del r["__h"]
     return sorted(rows, key=lambda r: r["vec_id"])
 
 

@@ -3671,6 +3671,17 @@ FROM t ORDER BY doc_id
 """
 
 
+def _hits_by_doc(hits):
+    """(doc_id, n_hits) hit rows sorted by doc_id; no hits gives the
+    typed zero-row frame (an empty Dataset collects with no columns)."""
+    hits = hits.materialize()
+    if hits.count() == 0:
+        return pd.DataFrame(
+            {"doc_id": pd.Series(dtype="int64"), "n_hits": pd.Series(dtype="int64")}
+        )
+    return hits.sort("doc_id")
+
+
 def benchmark_contamination(sf_dir, n_probes=5, probe_start=10, probe_len=16):
     """Benchmark-contamination scan (the train/eval-overlap check every
     training-data pipeline runs): flag corpus documents containing any
@@ -3702,7 +3713,7 @@ def benchmark_contamination(sf_dir, n_probes=5, probe_start=10, probe_len=16):
         out = pd.DataFrame({"doc_id": b["doc_id"], "n_hits": hits})
         return out.loc[(out["doc_id"] >= _n) & (out["n_hits"] > 0)]
 
-    return docs.map_batches(scan, batch_format="pandas").sort("doc_id")
+    return _hits_by_doc(docs.map_batches(scan, batch_format="pandas"))
 
 
 CONTAMINATION_SQL = """
@@ -4684,7 +4695,7 @@ def ngram_decontamination(sf_dir, n_probes=5, width=4, stride=2, min_len=12):
         out = pd.DataFrame({"doc_id": b["doc_id"], "n_hits": hits})
         return out.loc[(out["doc_id"] >= _n) & (out["n_hits"] > 0)]
 
-    return docs.map_batches(scan, batch_format="pandas").sort("doc_id")
+    return _hits_by_doc(docs.map_batches(scan, batch_format="pandas"))
 
 
 NGRAM_DECONTAM_SQL = r"""

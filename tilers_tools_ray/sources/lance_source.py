@@ -16,10 +16,9 @@ def is_lance_uri(path) -> bool:
     return str(path).rstrip("/").endswith(".lance")
 
 
-def read_lance(uri, columns=None, num_blocks=None):
-    """Open a Lance dataset as a Ray Dataset (column-pruned scan)."""
+def _require_lance():
     try:
-        import lance  # noqa: F401
+        import lance
     except ImportError as e:
         raise ImportError(
             "the 'lance' package is not available in this environment; "
@@ -27,6 +26,18 @@ def read_lance(uri, columns=None, num_blocks=None):
             "input_hint schema (S9 stand-in, SURVEY.md §2.1). Install "
             "pylance to scan .lance datasets directly."
         ) from e
+    return lance
+
+
+def read_lance_table(uri, columns):
+    """Driver-side column-pruned scan of a Lance dataset into one
+    pyarrow Table (for small georef columns, not pixels)."""
+    return _require_lance().dataset(uri).to_table(columns=columns)
+
+
+def read_lance(uri, columns=None, num_blocks=None):
+    """Open a Lance dataset as a Ray Dataset (column-pruned scan)."""
+    _require_lance()
     import ray.data as rd
 
     kwargs = {}

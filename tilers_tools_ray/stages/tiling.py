@@ -109,9 +109,10 @@ def _maybe_get(ref):
 
 
 class FragmentEmitter:
-    """Decode (M1) + warp-cut (M4–M7) actor-pool stage (T1/T2).
+    """Decode (M1) + warp-cut (M4–M7) stage (T1/T2), run as stateless
+    tasks (``pyramid.fragments_dataset``).
 
-    State built once per actor: broadcast salt plan + done-part set
+    State built once per task: broadcast salt plan + done-part set
     (``ray.put`` ObjectRefs resolved in __init__, never per batch).
     Resume (D2/§4.3): tiles whose part is in ``done_parts`` are not
     emitted; an image is not even decoded when ALL its tiles are done.
@@ -434,60 +435,25 @@ def merge_partials_group(group: pa.Table) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def add_parent_part(batch: pa.Table, z_part: int) -> pa.Table:
-    """Tile rows at z → add (part at z_part of the PARENT key) + parent
-    key columns for the next level's groupby."""
-    keys = batch.column("tile_key").to_numpy()
-    pk = tg.parent_key(keys)
-    pz, px, py = tg.unpack_key(pk)
-    shift = pz - z_part
-    part = tg.pack_key(np.full_like(pz, z_part), px >> shift, py >> shift)
-    batch = batch.drop_columns(["part"]) if "part" in batch.schema.names else batch
-    batch = batch.append_column("parent_key", pa.array(pk, pa.int64()))
-    return batch.append_column("part", pa.array(part, pa.int64()))
-
-
-def downsample_part_group(group: pa.Table, mode="box") -> pa.Table:
-    """All child tiles of one parent-part → parent tile rows (A2)."""
-    part = int(group.column("part")[0].as_py())
-    pkeys = group.column("parent_key").to_pylist()
-    xs = group.column("x").to_pylist()
-    ys = group.column("y").to_pylist()
-    caps = group.column("caption").to_pylist()
-    srcs = group.column("src_ids").to_pylist()
-    pix = group.column("pixels").to_pylist()
-    by_parent = {}
-    for i, pk in enumerate(pkeys):
-        by_parent.setdefault(pk, {})[(xs[i] & 1, ys[i] & 1)] = (
-            _np_frag(pix[i]),
-            caps[i],
-            srcs[i],
-        )
-    reduced = []
-    for pk in sorted(by_parent):
-        pixels, caption, src_ids = raster.reduce_parent_group(
-            by_parent[pk], mode
-        )
-        reduced.append((part, pk, pixels, caption, src_ids))
-    return _tile_rows(reduced)
-
-
 def cascade_part_group(group: pa.Table, z_min: int, z_base: int, mode="box"):
-    """ONE group = all base tiles under one z_min-ancestor cell →
+    """ONE group = all tiles at z_base under one z_min-ancestor cell →
     the ENTIRE overview cascade z_base-1 … z_min for that cell, built
     locally (A2 applied level by level in-memory). Replaces one
     shuffle per level with a single shuffle for all levels — the
     per-level groupby chain was pure fixed overhead at cluster scale.
 
-    Returns {z: tile-rows pa.Table}. Group size is bounded by
-    4^(z_base - z_min) child tiles (the caller caps the span)."""
+    Returns {z: tile-rows pa.Table}. Group size is bounded by the
+    caller's anchor rule (``pyramid.CASCADE_MAX_TILES``). The group's
+    own tiles stay packed until their parent is reduced, so only one
+    level of unpacked pixels is held at a time."""
     part = int(group.column("part")[0].as_py())
     level = {}
     caps = group.column("caption").to_pylist()
     srcs = group.column("src_ids").to_pylist()
     pix = group.column("pixels").to_pylist()
     for i, k in enumerate(group.column("tile_key").to_pylist()):
-        level[k] = (_np_frag(pix[i]), caps[i], list(srcs[i]))
+        level[k] = (pix[i], caps[i], list(srcs[i]))
+    packed = True
     out = {}
     for z in range(z_base - 1, z_min - 1, -1):
         parents = {}
@@ -495,10 +461,12 @@ def cascade_part_group(group: pa.Table, z_min: int, z_base: int, mode="box"):
             kz, kx, ky = (int(v) for v in tg.unpack_key(k))
             pk = int(tg.pack_key(z, kx >> 1, ky >> 1))
             parents.setdefault(pk, {})[(kx & 1, ky & 1)] = val
-        level = {
-            pk: raster.reduce_parent_group(ch, mode)
-            for pk, ch in parents.items()
-        }
+        level = {}
+        for pk, ch in parents.items():
+            if packed:
+                ch = {d: (_np_frag(v[0]), v[1], v[2]) for d, v in ch.items()}
+            level[pk] = raster.reduce_parent_group(ch, mode)
+        packed = False
         out[z] = _tile_rows(
             [(part, pk, v[0], v[1], v[2]) for pk, v in sorted(level.items())]
         )

@@ -95,8 +95,30 @@ def level_is_complete(out_dir, z):
     return os.path.exists(level_complete_marker(out_dir, z))
 
 
+def record_path(out_dir, name):
+    return os.path.join(out_dir, "lineage", f"{name}.json")
+
+
+def read_record(out_dir, name):
+    """A job-level JSON record (job meta, salt plan, cascade anchors),
+    or None."""
+    p = record_path(out_dir, name)
+    if not os.path.exists(p):
+        return None
+    with open(p) as f:
+        return json.load(f)
+
+
+def write_record(out_dir, name, obj):
+    p = record_path(out_dir, name)
+    os.makedirs(os.path.dirname(p), exist_ok=True)
+    with open(p + ".tmp", "w") as f:
+        json.dump(obj, f)
+    os.replace(p + ".tmp", p)
+
+
 def job_meta_path(out_dir):
-    return os.path.join(out_dir, "lineage", "job.json")
+    return record_path(out_dir, "job")
 
 
 def check_job_meta(out_dir, meta):
@@ -104,10 +126,8 @@ def check_job_meta(out_dir, meta):
     parameters (profile, z_base, resampling); a resume with DIFFERENT
     parameters would silently mix tile grids, so it raises instead.
     Returns the stored meta."""
-    p = job_meta_path(out_dir)
-    if os.path.exists(p):
-        with open(p) as f:
-            stored = json.load(f)
+    stored = read_record(out_dir, "job")
+    if stored is not None:
         diff = {
             k: (stored.get(k), v)
             for k, v in meta.items()
@@ -135,12 +155,9 @@ def check_job_meta(out_dir, meta):
             f"{out_dir} has committed lineage levels but no job.json — "
             "cannot verify this resume uses the same grid parameters as "
             "the original run. Use a fresh output dir, or restore/write "
-            f"{p} with the original parameters to resume."
+            f"{job_meta_path(out_dir)} with the original parameters to resume."
         )
-    os.makedirs(os.path.dirname(p), exist_ok=True)
-    with open(p + ".tmp", "w") as f:
-        json.dump(meta, f)
-    os.replace(p + ".tmp", p)
+    write_record(out_dir, "job", meta)
     return meta
 
 
