@@ -1,15 +1,19 @@
 """write_pyramid's plan and recovery: stateless emitter tasks on a small
 cluster, the recorded salt plan on resume, and the overview cascade
-anchors (one cascade down to z_min, repair of a lost level, refusal of
-parts committed at another anchor)."""
+(one cascade down to z_min that reads each committed part file once and
+nothing else, anchors finer than the read level's parts, repair of a
+lost level, refusal of parts committed at another anchor)."""
 
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
+from contextlib import contextmanager
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from tilers_tools_ray import golden
@@ -28,25 +32,47 @@ def z_base(tiny_corpus):
     return golden.auto_zoom(golden.load_images(tiny_corpus["images"]))
 
 
+@contextmanager
+def logged_part_reads(log):
+    """Log every part file the overview cascade reads, one path a line.
+    The cascade's tasks bind ``pyramid._read_part`` when the driver
+    ships them, so the logging reader runs in the workers and appends
+    to a shared file."""
+    orig = pyramid._read_part
+
+    def logged(path):
+        with open(log, "a") as f:
+            f.write(path + "\n")
+        return orig(path)
+
+    pyramid._read_part = logged
+    try:
+        yield
+    finally:
+        pyramid._read_part = orig
+
+
+def _read_log(log):
+    if not os.path.exists(log):
+        return []
+    with open(log) as f:
+        return sorted(f.read().split())
+
+
+def _part_paths(out, z):
+    return sorted(lineage.part_parquet_path(out, z, p) for p in lineage.done_parts(out, z))
+
+
 @pytest.fixture(scope="module")
 def built(ray_session, tiny_corpus, z_base, tmp_path_factory):
-    """One salted build to z_base - 7, counting the level reads."""
-    out = str(tmp_path_factory.mktemp("plan") / "pyr")
-    reads = []
-    orig = pyramid._read_level
-
-    def counted(out_dir, z, columns=None):
-        reads.append(z)
-        return orig(out_dir, z, columns)
-
-    pyramid._read_level = counted
-    try:
+    """One salted build to z_base - 7, logging the cascade's part reads."""
+    root = tmp_path_factory.mktemp("plan")
+    out, log = str(root / "pyr"), str(root / "reads.log")
+    with logged_part_reads(log):
         summary = pyramid.write_pyramid(
             tiny_corpus["images"], out, z_min=z_base - SPAN, **SALT
         )
-    finally:
-        pyramid._read_level = orig
-    return out, summary, reads
+    return out, summary, _read_log(log)
 
 
 def _levels(summary):
@@ -62,18 +88,23 @@ def _crash_copy(src, dst, z_base, z_min):
         os.remove(lineage.part_parquet_path(dst, z_base, p))
         os.remove(lineage.manifest_path(dst, z_base, p))
     os.remove(lineage.level_complete_marker(dst, z_base))
+    _drop_overviews(dst, z_base, z_min)
+
+
+def _drop_overviews(out, z_base, z_min):
     for z in range(z_min, z_base):
-        shutil.rmtree(lineage.level_dir(dst, z))
-        shutil.rmtree(lineage.lineage_dir(dst, z))
+        shutil.rmtree(lineage.level_dir(out, z))
+        shutil.rmtree(lineage.lineage_dir(out, z))
 
 
 def test_one_cascade_to_z_min_matches_golden(tiny_corpus, z_base, built):
     """z_min = z_base - 7: the base level fits one anchor cell bound, so
-    ONE cascade reads the base level once and writes every level, each
-    with its completion marker and its parts at the recorded anchor."""
+    ONE cascade reads each committed base part file exactly once and
+    writes every level, each with its completion marker and its parts at
+    the recorded anchor."""
     out, summary, reads = built
     z_min = z_base - SPAN
-    assert reads == [z_base]
+    assert reads == _part_paths(out, z_base)
     assert lineage.read_record(out, "anchors") == {str(z_base): z_min}
     assert lineage.read_record(out, "salt_plan")["plan"]
     gold = golden.tile_pyramid(
@@ -142,6 +173,94 @@ def test_lost_overview_level_is_repaired(tiny_corpus, z_base, built, tmp_path):
         tiny_corpus["images"], res, z_min=z_base - SPAN, **SALT
     )
     assert _levels(again) == _levels(summary)
+
+
+def test_cascade_reads_only_manifested_parts(tiny_corpus, z_base, built, tmp_path):
+    """An orphan part file with no manifest and a stale ``.tmp.<pid>``
+    write in the level the cascade reads: neither is read, and every
+    level equals the single run's."""
+    out, summary, _ = built
+    res = str(tmp_path / "orphans")
+    shutil.copytree(out, res)
+    _drop_overviews(res, z_base, z_base - SPAN)
+    victim = sorted(lineage.done_parts(res, z_base))[0]
+    t = pq.read_table(lineage.part_parquet_path(res, z_base, victim))
+    # the same tiles moved to the other half of the world: a reader that
+    # picked them up would add tiles to every overview level
+    z, x, y = tg.unpack_key(t.column("tile_key").to_numpy())
+    keys = tg.pack_key(z, x ^ (1 << (z_base - 1)), y)
+    assert not set(keys.tolist()) & set(pyramid.read_tiles(res, z_base).to_pandas()["tile_key"])
+    stray = t.set_column(t.schema.get_field_index("tile_key"), "tile_key", pa.array(keys, pa.int64()))
+    orphan = int(pyramid.tiling.part_of_key(keys[:1], pyramid.default_z_part(z_base))[0])
+    pq.write_table(stray, lineage.part_parquet_path(res, z_base, orphan))
+    pq.write_table(stray, lineage.part_parquet_path(res, z_base, victim) + ".tmp.4242")
+    log = str(tmp_path / "reads.log")
+    with logged_part_reads(log):
+        again = pyramid.write_pyramid(
+            tiny_corpus["images"], res, z_min=z_base - SPAN, **SALT
+        )
+    assert _read_log(log) == _part_paths(res, z_base)
+    assert _levels(again) == _levels(summary)
+
+
+def _level_tiles(out, z):
+    paths = [lineage.part_parquet_path(out, z, p) for p in lineage.done_parts(out, z)]
+    t = pa.concat_tables([pq.ParquetFile(p).read() for p in paths]).drop_columns(["part"])
+    return t.sort_by("tile_key")
+
+
+def test_cascade_anchor_finer_than_read_parts(tiny_corpus, z_base, built, tmp_path):
+    """A cascade anchored two zooms below the base level, whose parts sit
+    four zooms below it, so one base part file spans several anchor
+    cells; then a cascade from that anchor to z_min over several part
+    files per cell. Every level equals the build anchored at z_min."""
+    out, summary, _ = built
+    z_min, anchor = z_base - SPAN, z_base - 2
+    res = str(tmp_path / "fine")
+    shutil.copytree(out, res)
+    _drop_overviews(res, z_base, z_min)
+    base = lineage.read_manifests(res, z_base)
+    assert {int(z) for z in tg.unpack_key(np.fromiter(base, np.int64))[0]} == {
+        pyramid.default_z_part(z_base)
+    }
+    cells = pyramid.tiling.part_of_key(_level_tiles(res, z_base).column("tile_key").to_numpy(), anchor)
+    parts = pyramid.tiling.part_of_key(cells, pyramid.default_z_part(z_base))
+    assert len(np.unique(cells)) > len(np.unique(parts))  # a part spans cells
+    pyramid._write_cascade(res, z_base, anchor, base, "box")
+    pyramid._write_cascade(res, anchor, z_min, lineage.read_manifests(res, anchor), "box")
+    got, want = lineage.job_summary(res), summary
+    for z in range(z_min, z_base):
+        assert lineage.level_is_complete(res, z)
+        assert _level_tiles(res, z).equals(_level_tiles(out, z)), z
+        assert (got[z]["tiles"], got[z]["checksum_xor"]) == (
+            want[z]["tiles"], want[z]["checksum_xor"]
+        ), z
+
+
+def test_part_manifest_matches_reference_loop():
+    """The vectorized manifest rollups equal the per-tile Python loop on
+    an empty table and on one whose tiles share source ids."""
+    def reference(t):
+        xor = 0
+        for c in t.column("checksum").to_pylist():
+            xor ^= int(c)
+        return xor, len({s for lst in t.column("src_ids").to_pylist() for s in lst})
+
+    rows = [
+        (int(tg.pack_key(9, x, 7)), [f"img{x % 3}", "img9"] if x % 2 else [], crc)
+        for x, crc in enumerate([0xFFFFFFFF, 0x12345678, 0, 0x80000000, 0xDEADBEEF])
+    ]
+    full = pa.table(
+        {
+            "tile_key": pa.array([r[0] for r in rows], pa.int64()),
+            "src_ids": pa.array([r[1] for r in rows], pa.list_(pa.string())),
+            "checksum": pa.array([r[2] for r in rows], pa.int64()),
+        }
+    )
+    for t in (full.slice(0, 0), full, pa.concat_tables([full.slice(0, 2), full.slice(2)])):
+        m = pyramid._part_manifest(9, 1, t, 0.0)
+        assert (m["checksum_xor"], m["n_inputs"]) == reference(t)
+        assert m["n_tiles"] == t.num_rows
 
 
 def test_resume_refuses_parts_at_another_anchor(tiny_corpus, z_base, built, tmp_path):

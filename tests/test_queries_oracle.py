@@ -4,6 +4,7 @@ round driver performs at sf0.01 (order-insensitive value comparison
 after sorting columns by name)."""
 
 import os
+import shutil
 
 import duckdb
 import pandas as pd
@@ -870,6 +871,63 @@ def test_contamination_no_hits_matches_oracle(ray_session, tmp_path, name, sql):
     assert list(g.columns) == list(x.columns) == ["doc_id", "n_hits"]
     assert [str(t) for t in got.dtypes] == ["int64", "int64"]
     assert len(g) == len(x)
+    assert preflight._value_hash(g) == preflight._value_hash(x)
+
+
+def _half_cent_tables(tmp_path):
+    """Two lineitems of one order whose discounted prices sum to exactly
+    2347.505 (227.21 · 0.92 + 2274.97 · 0.94), while their double sum is
+    2347.5049999999997; the other tables are sf0.001 slices that join
+    them to one nation. Returns the sf_dir."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    d = tmp_path / f"sf_halfcent_{os.getpid()}"
+    d.mkdir(exist_ok=True)
+    li = pq.read_table(f"{SF}/lineitem.parquet").slice(0, 2)
+    order = pq.read_table(f"{SF}/orders.parquet").slice(0, 1)
+    cust = pq.read_table(f"{SF}/customer.parquet")
+    cust = cust.filter(pa.compute.equal(cust["c_custkey"], order["o_custkey"][0]))
+    for name, vals in [
+        ("l_orderkey", [order["o_orderkey"][0].as_py()] * 2),
+        ("l_extendedprice", [227.21, 2274.97]),
+        ("l_discount", [0.08, 0.06]),
+        ("l_returnflag", ["N", "N"]),
+        ("l_linestatus", ["O", "O"]),
+    ]:
+        i = li.schema.get_field_index(name)
+        li = li.set_column(i, name, pa.array(vals, li.schema.field(i).type))
+    for name, t in [("lineitem", li), ("orders", order), ("customer", cust)]:
+        pq.write_table(t, str(d / f"{name}.parquet"))
+    shutil.copy(f"{SF}/nation.parquet", str(d / "nation.parquet"))
+    return str(d)
+
+
+@pytest.mark.parametrize(
+    "name,col",
+    [("q1_pricing_summary", "sum_disc_price"), ("q5_nation_revenue", "revenue")],
+)
+def test_half_cent_sum_rounds_up_like_oracle(ray_session, tmp_path, name, col):
+    """A discounted-revenue sum that ends in exactly half a cent rounds
+    up to 2347.51 on both sides, whatever order the doubles would have
+    been summed in."""
+    import sys
+
+    from tilers_tools_ray.relational import queries as Q
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+    import preflight
+
+    sf = _half_cent_tables(tmp_path)
+    got = preflight._to_pandas(Q.QUERIES[name](sf))
+    con = duckdb.connect()
+    for t in ("nation", "customer", "orders", "lineitem"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
+    exp = con.execute(Q.ORACLES[name]).df()
+    assert got[col].tolist() == exp[col].tolist() == [2347.51]
+    assert str(got[col].dtype) == "float64"
+    g, x = preflight._normalize(got), preflight._normalize(exp)
+    assert list(g.columns) == list(x.columns)
     assert preflight._value_hash(g) == preflight._value_hash(x)
 
 

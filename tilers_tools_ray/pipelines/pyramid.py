@@ -10,9 +10,13 @@ Engine equivalent of ``gdal_tiler.py``, as streaming Ray Data jobs:
         plain: composite_part_group
         salted: groupby(part, salt) partials → groupby(part) merge
    → per-part atomic parquet commit + lineage row (§4.3)
-  overview cascade(s), down to z_min
-   read level z → part = ancestor cell at the anchor zoom → groupby(part)
-   → cascade_part_group builds levels z-1 … anchor locally (A2)
+  overview cascade(s), down to z_min — no shuffle
+   driver plan: level z's committed part files (from its manifests)
+     grouped by anchor cell: several whole parts per cell, or one part
+     holding several cells
+   → one task per unit reads its own part files
+   → cascade_part_group builds levels z-1 … anchor per cell (A2)
+   → per-part atomic parquet commit + lineage row
 
 Anchor rule: the coarsest zoom ≥ z_min whose largest cell holds at most
 ``CASCADE_MAX_TILES`` tiles of the level the cascade reads (counted from
@@ -35,6 +39,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 # NOTE: intra-package imports used inside WORKER-executed functions
@@ -110,9 +115,9 @@ def images_dataset(images_path, columns=None, num_blocks=None):
         try:
             import ray
 
-            num_blocks = max(64, int(ray.cluster_resources().get("CPU", 8)) * 4)
+            num_blocks = int(ray.cluster_resources().get("CPU", 8)) * 4
         except Exception:
-            num_blocks = 64
+            num_blocks = 32
     return rd.read_parquet(
         images_path,
         columns=columns,
@@ -352,6 +357,17 @@ def overview_tiles(tiles_ds, z_child, *, z_part=None, overview_resampling="box")
 # ---------------------------------------------------------------------------
 
 
+#: one lineage row per committed (level, part)
+COMMIT_SCHEMA = pa.schema(
+    [
+        ("z", pa.int32()),
+        ("part", pa.int64()),
+        ("n_tiles", pa.int64()),
+        ("checksum_xor", pa.int64()),
+    ]
+)
+
+
 def _commit_group_fn(out_dir, reduce_fn):
     """Wrap a part reduce returning {z: tile rows} into a commit-to-disk
     fn returning one lineage row per level. Runs inside the reduce task
@@ -372,14 +388,7 @@ def _commit_group_fn(out_dir, reduce_fn):
             rows["part"].append(part)
             rows["n_tiles"].append(tbl.num_rows)
             rows["checksum_xor"].append(manifest["checksum_xor"])
-        return pa.table(
-            {
-                "z": pa.array(rows["z"], pa.int32()),
-                "part": pa.array(rows["part"], pa.int64()),
-                "n_tiles": pa.array(rows["n_tiles"], pa.int64()),
-                "checksum_xor": pa.array(rows["checksum_xor"], pa.int64()),
-            }
-        )
+        return pa.table(rows, schema=COMMIT_SCHEMA)
 
     return commit
 
@@ -389,23 +398,19 @@ def _part_manifest(z, part, tiles_tbl, t0):
     itself is the authoritative carrier of tile_keys / src_ids /
     per-tile checksums (they are columns); the manifest stores the
     rollup + key range so audits and resume stay O(1) per part."""
-    checksum_xor = 0
-    for c in tiles_tbl.column("checksum").to_pylist():
-        checksum_xor ^= int(c)
     keys = tiles_tbl.column("tile_key")
-    n_inputs = len(
-        {s for lst in tiles_tbl.column("src_ids").to_pylist() for s in lst}
-    )
-    import pyarrow.compute as pc
-
     return {
         "z": z,
         "part": part,
         "n_tiles": tiles_tbl.num_rows,
         "key_min": int(pc.min(keys).as_py()) if tiles_tbl.num_rows else 0,
         "key_max": int(pc.max(keys).as_py()) if tiles_tbl.num_rows else 0,
-        "n_inputs": n_inputs,
-        "checksum_xor": checksum_xor,
+        "n_inputs": pc.count_distinct(
+            pc.list_flatten(tiles_tbl.column("src_ids"))
+        ).as_py(),
+        "checksum_xor": int(
+            np.bitwise_xor.reduce(tiles_tbl.column("checksum").to_numpy(), initial=0)
+        ),
         "wall_s": round(time.monotonic() - t0, 4),
     }
 
@@ -432,7 +437,7 @@ def _read_level(out_dir, z, columns=None):
     from ..relational.ops import _aligned_num_blocks
 
     # file_extensions guards against stale part-*.parquet.tmp.<pid> files
-    # left by a crashed writer: resume/merge must only see committed parts.
+    # left by a crashed writer: readers must only see committed parts.
     # Block count is row-group-aligned: Ray's 200-block floor re-reads
     # whole row groups when parts are fewer — on PIXEL columns that is
     # the most expensive possible amplification (see ops._aligned_num_blocks).
@@ -466,11 +471,37 @@ def cascade_anchor(manifests, z_read, z_min):
     return z_read - 1
 
 
-def _write_cascade(out_dir, z_read, anchor, overview_resampling):
-    """Levels z_read-1 … anchor in ONE shuffle: every tile of level
-    z_read is grouped by its ancestor cell at the anchor zoom, and each
-    group builds its whole sub-pyramid locally. Parts already committed
-    at every level are pruned before the shuffle."""
+def _read_part(path):
+    """One committed part file, whole. A ParquetFile read infers no
+    hive ``z`` partition column from ``tiles/z=<z>/``, which would clash
+    with the stored ``z``."""
+    return pq.ParquetFile(path).read()
+
+
+def _cascade_units(out_dir, z_read, manifests, anchor, done):
+    """The cascade's plan, from level ``z_read``'s manifests: its
+    committed part files grouped by ``part_of_key(part, min(part zoom,
+    anchor))``. A part at the anchor zoom or finer joins the other parts
+    of its anchor cell; a part coarser than the anchor is a unit of its
+    own, holding several anchor cells. Units whose anchor cell is done
+    at every level are dropped; a coarse part's done cells are dropped
+    inside its task."""
+    parts = np.fromiter(manifests, dtype=np.int64, count=len(manifests))
+    pz = tg.unpack_key(parts)[0]
+    keys = tiling.part_of_key(parts, np.minimum(pz, anchor))
+    units = {}
+    for p, k in zip(parts.tolist(), keys.tolist()):
+        units.setdefault(k, []).append(lineage.part_parquet_path(out_dir, z_read, p))
+    return [{"paths": paths} for k, paths in sorted(units.items()) if k not in done]
+
+
+def _write_cascade(out_dir, z_read, anchor, manifests, overview_resampling):
+    """Levels z_read-1 … anchor with no shuffle: the driver groups level
+    z_read's committed part files (``manifests``: {part: manifest}) into
+    units by anchor cell, one Ray task per unit reads its own files, and
+    each anchor cell builds its whole sub-pyramid locally. Files no
+    manifest lists (orphans, stale ``.tmp.<pid>`` writes) are never
+    read."""
     levels = range(anchor, z_read)
     if all(lineage.level_is_complete(out_dir, z) for z in levels):
         return
@@ -487,25 +518,33 @@ def _write_cascade(out_dir, z_read, anchor, overview_resampling):
     anchors = lineage.read_record(out_dir, "anchors") or {}
     lineage.write_record(out_dir, "anchors", {**anchors, str(z_read): anchor})
     done = frozenset.intersection(*committed)
+    units = _cascade_units(out_dir, z_read, manifests, anchor, done)
     done_arr = np.array(sorted(done), dtype=np.int64)
-    stats = (
-        _read_level(out_dir, z_read)
-        .map_batches(
-            lambda b, _a=anchor, _d=done_arr: _with_part(b, _a, _d),
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(
-            _commit_group_fn(
-                out_dir,
-                lambda g, _a=anchor, _z=z_read, _m=overview_resampling: (
-                    tiling.cascade_part_group(g, _a, _z, _m)
-                ),
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()
+    commit = _commit_group_fn(
+        out_dir,
+        lambda g: tiling.cascade_part_group(g, anchor, z_read, overview_resampling),
     )
+
+    def run(batch: pa.Table) -> pa.Table:
+        paths = batch.column("paths")[0].as_py()
+        tiles = _with_part(
+            pa.concat_tables([_read_part(p) for p in paths]), anchor, done_arr
+        )
+        cells = tiles.column("part").to_numpy()
+        return pa.concat_tables(
+            [COMMIT_SCHEMA.empty_table()]
+            + [commit(tiles.filter(pa.array(cells == c))) for c in np.unique(cells)]
+        )
+
+    stats = COMMIT_SCHEMA.empty_table().to_pandas()
+    if units:
+        import ray.data as rd
+
+        stats = (
+            rd.from_items(units, override_num_blocks=len(units))
+            .map_batches(run, batch_size=1, batch_format="pyarrow")
+            .to_pandas()
+        )
     _mark_levels(out_dir, levels, stats, len(done))
 
 
@@ -596,10 +635,9 @@ def write_pyramid(
     # --- overview cascades down to z_min -----------------------------------
     z_read = z_base
     while z_read > z_min:
-        anchor = cascade_anchor(
-            lineage.read_manifests(out_dir, z_read), z_read, z_min
-        )
-        _write_cascade(out_dir, z_read, anchor, overview_resampling)
+        manifests = lineage.read_manifests(out_dir, z_read)
+        anchor = cascade_anchor(manifests, z_read, z_min)
+        _write_cascade(out_dir, z_read, anchor, manifests, overview_resampling)
         z_read = anchor
     return lineage.job_summary(out_dir)
 

@@ -123,7 +123,7 @@ def diff_tilesets(a_ds, b_ds):
     def bucket(b: pd.DataFrame) -> pd.DataFrame:
         return _coarse_bucket(b, "tile_key", n_cb)
 
-    def compare(g: pd.DataFrame) -> pd.DataFrame:
+    def compare(g: pd.DataFrame) -> pa.Table:
         # nullable Int64 through the pivot (verified preserved by
         # aggfunc="first"): a plain pivot upcasts to float64, which is
         # exact only below 2^53 — fine for crc32 checksums, silently
@@ -149,12 +149,15 @@ def diff_tilesets(a_ds, b_ds):
             ["added", "removed", "changed"],
             default="same",
         )
-        out = p[["tile_key", "z", "x", "y"]].copy()
-        # "string" dtype (not object): an all-"same" bucket returns an
-        # EMPTY frame, and an empty object column arrives at Arrow as
-        # null-typed — breaking schema unification with string blocks
-        out["status"] = pd.array(status, dtype="string")
-        return out[out["status"] != "same"]
+        keep = status != "same"
+        out = pa.Table.from_pandas(
+            p.loc[keep, ["tile_key", "z", "x", "y"]], preserve_index=False
+        )
+        # an Arrow block with a typed string column: an all-"same" bucket
+        # returns zero rows, whose status must still be string (not null)
+        # to unify with the other buckets, and an empty pandas column
+        # makes Ray's block-size estimate fail on the worker
+        return out.append_column("status", pa.array(status[keep], pa.string()))
 
     return (
         u.map_batches(bucket, batch_format="pandas")

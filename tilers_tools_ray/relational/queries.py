@@ -8,10 +8,12 @@ sorting columns by name). Queries without an oracle are genuinely
 non-SQL-expressible (LSH, heuristics, tiling) → rows-only checks.
 
 Float policy: money aggregates that proved boundary-sensitive
-(sessionize sums, price quantiles) are computed in exact int64 cents on
-BOTH sides — order-independent and tie-free, no .005 hole. Remaining
-float aggregates are rounded to 2 decimals on both sides; their inputs
-never land on exact .005 boundaries at the tested scales.
+(sessionize sums, price quantiles, discounted revenue) are computed in
+exact int64 cents on BOTH sides — order-independent and tie-free, no
+.005 hole. Discounted revenue sums ``round(price · (1 − discount) ·
+10⁴)`` exactly and rounds half cents up (:func:`_half_up_cents`).
+Remaining float aggregates are rounded to 2 decimals on both sides;
+their inputs never land on exact .005 boundaries at the tested scales.
 """
 
 from __future__ import annotations
@@ -30,6 +32,22 @@ from . import ann, dedup, ops, text
 # ---------------------------------------------------------------------------
 
 
+def _disc_price_x10000(b: pd.DataFrame) -> np.ndarray:
+    """``l_extendedprice · (1 − l_discount)`` in exact int64 units of
+    10⁻⁴ (2-decimal price × 2-decimal discount has 4 decimals)."""
+    return np.round(
+        b["l_extendedprice"].to_numpy() * (1 - b["l_discount"].to_numpy()) * 10000
+    ).astype("int64")
+
+
+def _half_up_cents(x10000: pd.Series) -> pd.Series:
+    """An exact 10⁻⁴ sum rounded half up to cents, as a float of money:
+    ``((s + 50) // 100) / 100`` — the same integer expression as the
+    oracle SQL, so a sum ending in exactly half a cent cannot round
+    either way with summation order."""
+    return ((x10000.astype("int64") + 50) // 100) / 100
+
+
 def q1_pricing_summary(sf_dir):
     ds = ops.read(
         sf_dir,
@@ -44,14 +62,14 @@ def q1_pricing_summary(sf_dir):
     )
 
     def enrich(b: pd.DataFrame) -> pd.DataFrame:
-        b["disc_price"] = b["l_extendedprice"] * (1 - b["l_discount"])
+        b["disc_x10000"] = _disc_price_x10000(b)
         return b
 
     ds = ds.map_batches(enrich, batch_format="pandas")
     df = ops.preagg_sum_count_df(
         ds,
         ["l_returnflag", "l_linestatus"],
-        ["l_quantity", "l_extendedprice", "disc_price"],
+        ["l_quantity", "l_extendedprice", "disc_x10000"],
         count_alias="count_order",
     )
     out = pd.DataFrame(
@@ -60,7 +78,7 @@ def q1_pricing_summary(sf_dir):
             "l_linestatus": df["l_linestatus"],
             "sum_qty": df["l_quantity"].round(2),
             "sum_base_price": df["l_extendedprice"].round(2),
-            "sum_disc_price": df["disc_price"].round(2),
+            "sum_disc_price": _half_up_cents(df["disc_x10000"]),
             "avg_qty": (df["l_quantity"] / df["count_order"]).round(2),
             "count_order": df["count_order"].astype("int64"),
         }
@@ -72,7 +90,9 @@ Q1_SQL = """
 SELECT l_returnflag, l_linestatus,
        round(sum(l_quantity), 2)                          AS sum_qty,
        round(sum(l_extendedprice), 2)                     AS sum_base_price,
-       round(sum(l_extendedprice * (1 - l_discount)), 2)  AS sum_disc_price,
+       CAST((sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
+                     AS BIGINT)) + 50) // 100 AS DOUBLE) / 100
+                                                          AS sum_disc_price,
        round(sum(l_quantity) / count(*), 2)               AS avg_qty,
        count(*)                                           AS count_order
 FROM lineitem GROUP BY 1, 2 ORDER BY 1, 2
@@ -263,7 +283,7 @@ def q5_nation_revenue(sf_dir, broadcast_limit=5_000_000):
         return pd.DataFrame(
             {
                 "l_orderkey": b["l_orderkey"],
-                "revenue": b["l_extendedprice"] * (1 - b["l_discount"]),
+                "revenue_x10000": _disc_price_x10000(b),
             }
         )
 
@@ -278,12 +298,12 @@ def q5_nation_revenue(sf_dir, broadcast_limit=5_000_000):
         ),
     )
     df = ops.preagg_sum_count_df(
-        joined, ["n_name"], ["revenue"], count_alias="n_items"
+        joined, ["n_name"], ["revenue_x10000"], count_alias="n_items"
     )
     out = pd.DataFrame(
         {
             "n_name": df["n_name"],
-            "revenue": df["revenue"].round(2),
+            "revenue": _half_up_cents(df["revenue_x10000"]),
             "n_items": df["n_items"].astype("int64"),
         }
     )
@@ -292,7 +312,8 @@ def q5_nation_revenue(sf_dir, broadcast_limit=5_000_000):
 
 Q5_SQL = """
 SELECT n_name,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
+       CAST((sum(CAST(round(l_extendedprice * (1 - l_discount) * 10000)
+                     AS BIGINT)) + 50) // 100 AS DOUBLE) / 100 AS revenue,
        count(*) AS n_items
 FROM nation JOIN customer ON n_nationkey = c_nationkey
             JOIN orders   ON c_custkey = o_custkey
