@@ -72,7 +72,7 @@ def test_salted_equals_unsalted(ray_session, tiny_corpus, golden_pyramid):
     # salt EVERY part into 3 zorder ranges — worst case for the merge
     z_part = pyramid.default_z_part(z_base)
     census = pyramid.census_parts(tiny_corpus["images"], z_base, z_part)
-    col = "sum(n)" if "sum(n)" in census.columns else "n"
+    assert list(census.columns) == ["part", "n"]
     plan = {int(p): 3 for p in census["part"]}
     ds = pyramid.base_tiles(
         tiny_corpus["images"], z_base=z_base, salt_plan=plan, n_zorder=200
@@ -81,11 +81,13 @@ def test_salted_equals_unsalted(ray_session, tiny_corpus, golden_pyramid):
     _assert_level_equal(engine, gold, z_base)
 
 
-def test_overview_matches_golden(ray_session, tiny_corpus, golden_pyramid):
+def test_overview_matches_golden(ray_session, tiny_corpus, golden_pyramid, tmp_path):
     z_base, gold = golden_pyramid
-    base = pyramid.base_tiles(tiny_corpus["images"], z_base=z_base)
-    over = pyramid.overview_tiles(base, z_base)
-    engine = _tiles_to_dict(over.to_pandas())
+    out = str(tmp_path / "one_level")
+    pyramid.write_pyramid(
+        tiny_corpus["images"], out, z_base=z_base, z_min=z_base - 1, salt=False
+    )
+    engine = _tiles_to_dict(pyramid.read_tiles(out, z_base - 1).to_pandas())
     _assert_level_equal(engine, gold, z_base - 1)
 
 
@@ -315,7 +317,8 @@ def test_overview_resampling_lanczos(ray_session, tiny_corpus, tmp_path):
 
 def test_on_bad_image_skip(ray_session, tmp_path):
     """A corrupt blob must not kill the job when on_bad_image='skip':
-    the build completes and its tiles equal a build over the corpus
+    the build completes, records the skipped image's id and reason in
+    the lineage tree, and its tiles equal a build over the corpus
     WITHOUT the bad row; the default policy still raises."""
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -347,6 +350,13 @@ def test_on_bad_image_skip(ray_session, tmp_path):
         bad_path, str(tmp_path / "pyr_skip"), z_min=6, salt=False,
         on_bad_image="skip",
     )
+    from tilers_tools_ray import codecs
+
+    with pytest.raises(Exception) as why:
+        codecs.decode_image(blobs[3], t.column("fmt")[3].as_py())
+    assert lineage.read_record(str(tmp_path / "pyr_skip"), "skipped_images") == {
+        t.column("image_id")[3].as_py(): f"{type(why.value).__name__}: {why.value}"
+    }
     pyramid.write_pyramid(
         clean_path, str(tmp_path / "pyr_clean"), z_min=6, salt=False
     )

@@ -1,8 +1,11 @@
-"""write_pyramid's plan and recovery: stateless emitter tasks on a small
-cluster, the recorded salt plan on resume, and the overview cascade
-(one cascade down to z_min that reads each committed part file once and
-nothing else, anchors finer than the read level's parts, repair of a
-lost level, refusal of parts committed at another anchor)."""
+"""write_pyramid's plan and recovery: stateless emitter tasks on 1- and
+2-CPU clusters, the recorded salt plan on resume, the base level's
+file exchange (no Ray shuffle, stale exchange files never read, a crash
+between emission and the first commit resumed exactly), and the
+overview cascade (one cascade down to z_min that reads each committed
+part file once and nothing else, anchors finer than the read level's
+parts, repair of a lost level, refusal of parts committed at another
+anchor)."""
 
 import os
 import shutil
@@ -15,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray.data as rd
 
 from tilers_tools_ray import golden
 from tilers_tools_ray import tilegrid as tg
@@ -30,6 +34,22 @@ SALT = dict(salt="auto", salt_threshold=24, salt_target=12)
 @pytest.fixture(scope="module")
 def z_base(tiny_corpus):
     return golden.auto_zoom(golden.load_images(tiny_corpus["images"]))
+
+
+@pytest.fixture(scope="module")
+def gold(tiny_corpus, z_base):
+    return golden.tile_pyramid(
+        golden.load_images(tiny_corpus["images"]), z_base=z_base, z_min=z_base - SPAN
+    )
+
+
+def _assert_golden(df, gold, z):
+    """Tile rows of level ``z`` equal the golden pyramid's."""
+    assert set(df["tile_key"]) == {k for k in gold if int(tg.unpack_key(k)[0]) == z}, z
+    for row in df.itertuples(index=False):
+        gp, gc, gs = gold[int(row.tile_key)]
+        assert np.array_equal(pyramid.tiling.unpack_pixels(row.pixels), gp)
+        assert (row.caption, list(row.src_ids)) == (gc, gs)
 
 
 @contextmanager
@@ -97,28 +117,20 @@ def _drop_overviews(out, z_base, z_min):
         shutil.rmtree(lineage.lineage_dir(out, z))
 
 
-def test_one_cascade_to_z_min_matches_golden(tiny_corpus, z_base, built):
+def test_one_cascade_to_z_min_matches_golden(tiny_corpus, z_base, gold, built):
     """z_min = z_base - 7: the base level fits one anchor cell bound, so
     ONE cascade reads each committed base part file exactly once and
     writes every level, each with its completion marker and its parts at
-    the recorded anchor."""
+    the recorded anchor. The exchange dir is gone afterwards."""
     out, summary, reads = built
     z_min = z_base - SPAN
     assert reads == _part_paths(out, z_base)
     assert lineage.read_record(out, "anchors") == {str(z_base): z_min}
     assert lineage.read_record(out, "salt_plan")["plan"]
-    gold = golden.tile_pyramid(
-        golden.load_images(tiny_corpus["images"]), z_base=z_base, z_min=z_min
-    )
+    assert not os.path.exists(os.path.join(out, "exchange"))
     for z in range(z_min, z_base + 1):
         assert lineage.level_is_complete(out, z)
-        gkeys = {k for k in gold if int(tg.unpack_key(k)[0]) == z}
-        df = pyramid.read_tiles(out, z).to_pandas()
-        assert set(df["tile_key"]) == gkeys
-        for row in df.itertuples(index=False):
-            gp, gc, gs = gold[int(row.tile_key)]
-            assert np.array_equal(pyramid.tiling.unpack_pixels(row.pixels), gp)
-            assert (row.caption, list(row.src_ids)) == (gc, gs)
+        _assert_golden(pyramid.read_tiles(out, z).to_pandas(), gold, z)
         if z < z_base:
             parts = np.array(sorted(lineage.done_parts(out, z)), dtype=np.int64)
             assert set(tg.unpack_key(parts)[0].tolist()) == {z_min}
@@ -306,17 +318,78 @@ def test_cascade_anchor_rule():
     assert pyramid.cascade_anchor({}, z_read, 4) == 4
 
 
-def test_two_cpu_cluster_build_matches_golden(tmp_path):
-    """The small-cluster deadlock class: a 2-CPU Ray session finishes a
-    salted build (emitter tasks ahead of two groupby reduces) and its
-    tiles equal the golden pyramid. Runs in its own process, with its
-    own Ray session."""
+def test_base_level_runs_no_shuffle(tiny_corpus, z_base, gold, built, tmp_path, monkeypatch):
+    """A salted write_pyramid and a salted base_tiles call no Ray
+    Dataset groupby, sort or repartition, and equal the single run and
+    the golden base level."""
+
+    def shuffle(*a, **k):
+        raise AssertionError("a Ray shuffle ran in the pyramid build")
+
+    for name in ("groupby", "sort", "repartition"):
+        monkeypatch.setattr(rd.Dataset, name, shuffle)
+    out = str(tmp_path / "noshuffle")
+    summary = pyramid.write_pyramid(tiny_corpus["images"], out, z_min=z_base - SPAN, **SALT)
+    assert _levels(summary) == _levels(built[1])
+    plan = {int(p): s for p, s in lineage.read_record(out, "salt_plan")["plan"].items()}
+    assert max(plan.values()) > 1
+    tiles = pyramid.base_tiles(
+        tiny_corpus["images"], z_base=z_base, salt_plan=plan,
+        n_zorder=pyramid._count_rows(tiny_corpus["images"]),
+    )
+    _assert_golden(tiles.to_pandas(), gold, z_base)
+
+
+def test_stale_exchange_file_is_never_read(tiny_corpus, z_base, gold, built, tmp_path):
+    """A fragment file left in ``exchange/`` by an earlier run, painting
+    a real part's tile opaque white at the highest zorder, is never read:
+    the build equals the golden pyramid and the exchange dir is gone."""
+    out = str(tmp_path / "stale")
+    part = sorted(lineage.done_parts(built[0], z_base))[0]
+    key = pq.read_table(lineage.part_parquet_path(built[0], z_base, part)).column("tile_key")[0]
+    white = pyramid.tiling.pack_pixels(np.full((256, 256, 4), 255, np.uint8))
+    stale = pa.table(
+        {"part": [part], "salt": [0], "tile_key": [key.as_py()], "zorder": [2**30],
+         "image_id": ["stale"], "caption": ["stale"], "frag": [white]},
+        schema=pyramid.tiling.FRAGMENT_SCHEMA,
+    )
+    os.makedirs(os.path.join(out, "exchange"))
+    pq.write_table(stale, os.path.join(out, "exchange", "frags-stale.parquet"))
+    summary = pyramid.write_pyramid(tiny_corpus["images"], out, z_min=z_base - SPAN, **SALT)
+    assert not os.path.exists(os.path.join(out, "exchange"))
+    assert _levels(summary) == _levels(built[1])
+    _assert_golden(pyramid.read_tiles(out, z_base).to_pandas(), gold, z_base)
+
+
+def test_crash_after_emission_resumes_exactly(tiny_corpus, z_base, built, tmp_path, monkeypatch):
+    """A build whose reduce fails after emission commits no base part
+    and leaves its fragment files; the resume discards them, re-emits,
+    and equals the single run level by level."""
+    out = str(tmp_path / "crashed")
+
+    def crash(path, row_group):
+        raise RuntimeError("reduce crashed")
+
+    with monkeypatch.context() as m:
+        m.setattr(pyramid, "_read_fragments", crash)
+        with pytest.raises(Exception, match="reduce crashed"):
+            pyramid.write_pyramid(tiny_corpus["images"], out, z_min=z_base - SPAN, **SALT)
+    assert not lineage.done_parts(out, z_base)
+    assert any(f.startswith("frags-") for f in os.listdir(os.path.join(out, "exchange")))
+    again = pyramid.write_pyramid(tiny_corpus["images"], out, z_min=z_base - SPAN, **SALT)
+    assert _levels(again) == _levels(built[1])
+    assert not os.path.exists(os.path.join(out, "exchange"))
+
+
+def _small_cluster_build_matches_golden(tmp_path, num_cpus):
+    """A salted build on a ``num_cpus`` Ray session, in its own process,
+    equals the golden pyramid."""
     script = textwrap.dedent(
         f"""
         import sys
         import numpy as np
         import ray
-        ray.init(address="local", num_cpus=2, include_dashboard=False,
+        ray.init(address="local", num_cpus={num_cpus}, include_dashboard=False,
                  logging_level="ERROR", log_to_driver=False)
         from tilers_tools_ray import corpus, golden
         from tilers_tools_ray import tilegrid as tg
@@ -348,3 +421,16 @@ def test_two_cpu_cluster_build_matches_golden(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert "GOLDEN-EQUAL" in proc.stdout
+
+
+def test_two_cpu_cluster_build_matches_golden(tmp_path):
+    """The small-cluster deadlock class: a 2-CPU Ray session finishes a
+    salted build (emitter tasks, then one task per exchange unit and one
+    merge task per salted part) and its tiles equal the golden pyramid."""
+    _small_cluster_build_matches_golden(tmp_path, 2)
+
+
+def test_one_cpu_cluster_build_matches_golden(tmp_path):
+    """The same salted build on a 1-CPU Ray session, where every stage
+    shares the one CPU."""
+    _small_cluster_build_matches_golden(tmp_path, 1)

@@ -956,3 +956,39 @@ def test_train_val_test_split_deterministic_partition(ray_session):
         ] += 1
     got = dict(zip(a["split"], a["n_docs"].astype(int)))
     assert {k: v for k, v in counts.items() if v} == got
+
+
+def test_train_val_test_split_negative_ids_match_oracle(ray_session, tmp_path):
+    """Negative doc ids bucket by the floor modulo on both sides: the
+    engine's uint64 wrap and the oracle's SQL agree split by split, and
+    the planted ids land in all three splits."""
+    import sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from tilers_tools_ray.relational import queries as Q
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools"))
+    import preflight
+
+    # -1 train, -8 val, -21 test; the rest wrap across several 2^32 spans
+    ids = [-1, -2, -8, -21, -29, -42, -(2**32), -(2**32) - 7, -(2**40) + 3, 5, 2**33]
+    sf = _mini_docs(tmp_path, [f"doc {i} has some words" for i in range(len(ids))])
+    path = os.path.join(sf, "documents.parquet")
+    t = pq.read_table(path)
+    pq.write_table(t.set_column(0, "doc_id", pa.array(ids, pa.int64())), path)
+
+    got = preflight._to_pandas(Q.train_val_test_split(sf))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{path}')")
+    exp = con.execute(Q.ORACLES["train_val_test_split"]).df()
+    want = {"train": 0, "val": 0, "test": 0}
+    for i in ids:
+        h = ((i % Q._SPLIT_MOD) * Q._SPLIT_K) % Q._SPLIT_MOD
+        want["test" if h < Q._SPLIT_TEST else "val" if h < Q._SPLIT_VAL else "train"] += 1
+    assert all(want.values()), want
+    assert dict(zip(got["split"], got["n_docs"].astype(int))) == want
+    g, x = preflight._normalize(got), preflight._normalize(exp)
+    assert list(g.columns) == list(x.columns)
+    assert preflight._value_hash(g) == preflight._value_hash(x)

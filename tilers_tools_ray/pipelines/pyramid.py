@@ -1,20 +1,26 @@
 """The flagship pipeline: images table → tile pyramid (SURVEY.md §3.1).
 
-Engine equivalent of ``gdal_tiler.py``, as streaming Ray Data jobs:
+Engine equivalent of ``gdal_tiler.py``, with no shuffle anywhere: Ray
+Data scans for the census and the emission, plain Ray tasks for the
+per-unit reduces (``_run_units``):
 
-  base level
+  base level (A1), through local exchange files under <out>/exchange/
    read images (column-pruned)
-   → map_batches(FragmentEmitter) as stateless tasks  fan-out, M1/M4–M7,
-                                                      fused with the read
-   → groupby(part)[.map_groups]                       the ONE shuffle (A1)
-        plain: composite_part_group
-        salted: groupby(part, salt) partials → groupby(part) merge
-   → per-part atomic parquet commit + lineage row (§4.3)
+   → map_batches(FragmentEmitter) as stateless tasks  fan-out, M1/M4–M7
+   → map_batches(spill)                               fused into the
+        one part-sorted fragment file per batch,      emitter's task
+        one row group per (part, salt); returns index rows → driver
+   → driver plan: one unit per unsalted part, one per (part, salt) of a
+     salted part (§4.2); each unit reads only its own row groups
+        plain: composite_part_group → per-part atomic commit (§4.3)
+        salted: partial_composite_group → partial file in the exchange
+   → salted parts only: one unit per part merges its partials in salt
+     order (merge_partials_group) → per-part atomic commit
   overview cascade(s), down to z_min — no shuffle
    driver plan: level z's committed part files (from its manifests)
      grouped by anchor cell: several whole parts per cell, or one part
      holding several cells
-   → one task per unit reads its own part files
+   → each unit reads its own part files, in a Ray task
    → cascade_part_group builds levels z-1 … anchor per cell (A2)
    → per-part atomic parquet commit + lineage row
 
@@ -29,15 +35,23 @@ tree: a resume with the same salt key reuses the plan instead of
 re-running the census, and a resume that finds overview parts committed
 at another anchor zoom refuses rather than mix part ids. Committed
 (level, part) pairs are broadcast and pruned at the emitter — a resume
-replays only incomplete tiles.
+replays only incomplete tiles. Exchange files are read only as the index
+of this run lists them, so orphans of a crashed run or of a retried task
+attempt are never read; the exchange dir is wiped before emission and
+removed once the base level is marked complete.
 """
 
 from __future__ import annotations
 
+import logging
 import os
+import shutil
+import tempfile
 import time
+import uuid
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -108,21 +122,23 @@ def images_dataset(images_path, columns=None, num_blocks=None):
             num_blocks=num_blocks,
         )
     columns = _prune_optional(images_path, columns or FRAG_COLUMNS)
-    if num_blocks is None:
-        # block count sets downstream TASK granularity: ~4 blocks/CPU
-        # keeps the emitter tail short (per-image work is highly
-        # variable); a single big parquet otherwise reads as ONE task
-        try:
-            import ray
-
-            num_blocks = int(ray.cluster_resources().get("CPU", 8)) * 4
-        except Exception:
-            num_blocks = 32
+    # block count sets downstream TASK granularity: ~4 blocks/CPU
+    # keeps the emitter tail short (per-image work is highly variable);
+    # a single big parquet otherwise reads as ONE task
     return rd.read_parquet(
         images_path,
         columns=columns,
-        override_num_blocks=num_blocks,
+        override_num_blocks=num_blocks or 4 * _cluster_cpus(),
     )
+
+
+def _cluster_cpus():
+    try:
+        import ray
+
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
 
 
 def _effective_res(batch: pa.Table, profile="mercator") -> np.ndarray:
@@ -196,27 +212,27 @@ def default_z_part(z):
 
 def census_parts(images_path, z_base, z_part, batch_size=512, profile="mercator"):
     """Georef-only census: fragments per part (upper bound — cutline
-    drops are not modeled). Small result → driver. Feeds the salt plan
-    (§4.2) and the skew report."""
+    drops are not modeled), as a (``part``, ``n``) frame sorted by part.
+    The tasks pre-aggregate per batch; the driver sums their few rows.
+    Feeds the salt plan (§4.2) and the skew report."""
     ds = images_dataset(images_path, columns=["gt", "srs", "w", "h", "poly"])
     parts = ds.map_batches(
         tiling.TouchedParts(z_base, z_part, profile=profile),
         batch_format="pyarrow",
         batch_size=batch_size,
-    )
-    agg = parts.groupby("part").sum("n")
-    return agg.to_pandas()  # small: one row per part
+    ).to_pandas()  # small: one row per (batch, part)
+    if parts.empty:
+        return pd.DataFrame({"part": [], "n": []}, dtype=np.int64)
+    part, cell = np.unique(parts["part"].to_numpy(np.int64), return_inverse=True)
+    n = np.bincount(cell, weights=parts["n"].to_numpy(np.int64))
+    return pd.DataFrame({"part": part, "n": n.astype(np.int64)})
 
 
 def make_salt_plan(census_df, threshold=2000, target=1000):
     """parts whose fragment count exceeds ``threshold`` get
     ceil(n/target) contiguous-zorder salt ranges."""
-    col = "sum(n)" if "sum(n)" in census_df.columns else "n"
-    hot = census_df[census_df[col] > threshold]
-    return {
-        int(p): int(-(-int(n) // target))
-        for p, n in zip(hot["part"], hot[col])
-    }
+    hot = census_df[census_df["n"] > threshold]
+    return {int(p): int(-(-int(n) // target)) for p, n in zip(hot["part"], hot["n"])}
 
 
 def _recorded_salt_plan(out_dir, images_path, z_base, z_part, threshold, target, profile):
@@ -253,11 +269,12 @@ def fragments_dataset(
 
     The emitter runs as stateless 1-CPU tasks, not an actor pool: its
     only state is two small broadcasts, Ray Data fuses the tasks with
-    the parquet read, and a task releases its CPU between blocks, so the
-    groupby reduce behind it always gets scheduled (a fixed actor pool
-    held CPUs ahead of the reduce and deadlocked 1–2 CPU clusters). The
-    per-task cache builds the emitter once per task, not once per
-    batch."""
+    the parquet read and with the spill stage ``_base_level`` appends,
+    and no task holds a CPU once its blocks are done (a fixed actor pool
+    held CPUs ahead of the reduce stage and deadlocked 1–2 CPU
+    clusters). The per-task cache builds the emitter once per task, not
+    once per batch. Under ``on_bad="skip"`` a skipped image leaves one
+    ``tiling.SKIPPED_PART`` row."""
     import ray
 
     ctor_kwargs = {
@@ -283,20 +300,6 @@ def fragments_dataset(
     )
 
 
-def _composite(frags, salted, wrap=lambda fn: fn):
-    """The base-level shuffle: one groupby(part) composite, or salted
-    (part, salt) partials merged per part. ``wrap`` turns the per-part
-    reduce into its committing form."""
-    if salted:
-        frags = frags.groupby(["part", "salt"]).map_groups(
-            tiling.partial_composite_group, batch_format="pyarrow"
-        )
-        reduce_fn = tiling.merge_partials_group
-    else:
-        reduce_fn = tiling.composite_part_group
-    return frags.groupby("part").map_groups(wrap(reduce_fn), batch_format="pyarrow")
-
-
 def base_tiles(
     images_path,
     z_base=None,
@@ -308,22 +311,33 @@ def base_tiles(
     batch_size=16,
     profile="mercator",
 ):
-    """Pure (no side effects) base-tile Dataset — tests / entry()."""
+    """Pure (no side effects) base-tile Dataset — tests / entry(). The
+    same base-level routine as ``write_pyramid`` with committing off,
+    through a temporary exchange dir; returns the materialized tiles."""
+    import ray.data as rd
+
     if z_base is None:
         z_base = auto_zoom(images_path, profile=profile)
     if z_part is None:
         z_part = default_z_part(z_base)
-    frags = fragments_dataset(
-        images_path,
-        z_base,
-        z_part,
-        resampling=resampling,
-        salt_plan=salt_plan,
-        n_zorder=n_zorder,
-        batch_size=batch_size,
-        profile=profile,
-    )
-    return _composite(frags, bool(salt_plan))
+    exchange = tempfile.mkdtemp(prefix="ttr-exchange-")
+    try:
+        refs = _base_level(
+            images_path,
+            exchange,
+            z_base,
+            z_part,
+            resampling=resampling,
+            salt_plan=salt_plan,
+            n_zorder=n_zorder,
+            batch_size=batch_size,
+            profile=profile,
+        )
+    finally:
+        shutil.rmtree(exchange, ignore_errors=True)
+    if not refs:
+        return rd.from_arrow(tiling.TILE_SCHEMA.empty_table())
+    return rd.from_arrow_refs(refs)
 
 
 def _with_part(batch, z_part, done=()):
@@ -338,17 +352,200 @@ def _with_part(batch, z_part, done=()):
     return batch
 
 
-def overview_tiles(tiles_ds, z_child, *, z_part=None, overview_resampling="box"):
-    """One overview step: tiles at z_child → tiles at z_child-1 (pure)."""
-    if z_part is None:
-        z_part = default_z_part(z_child - 1)
-    return tiles_ds.map_batches(
-        lambda b, _zp=z_part: _with_part(b, _zp), batch_format="pyarrow"
-    ).groupby("part").map_groups(
-        lambda g, _z=z_child, _m=overview_resampling: tiling.cascade_part_group(
-            g, _z - 1, _z, _m
-        )[_z - 1],
-        batch_format="pyarrow",
+# ---------------------------------------------------------------------------
+# base level: fragment exchange through local files
+# ---------------------------------------------------------------------------
+
+
+#: one row per (part, salt) row group of a spilled fragment file, or one
+#: row per skipped image (null ``path``, its id and reason)
+INDEX_SCHEMA = pa.schema(
+    [
+        ("part", pa.int64()),
+        ("salt", pa.int32()),
+        ("path", pa.string()),
+        ("row_group", pa.int32()),
+        ("n", pa.int64()),
+        ("image_id", pa.string()),
+        ("reason", pa.string()),
+    ]
+)
+
+_FRAG_ORDER = [(c, "ascending") for c in ("part", "salt", "tile_key", "zorder")]
+
+
+def _index_rows(num_rows, **cols):
+    return pa.table(
+        {f.name: cols.get(f.name, pa.nulls(num_rows, f.type)) for f in INDEX_SCHEMA},
+        schema=INDEX_SCHEMA,
+    )
+
+
+def _spill_fn(exchange):
+    """The stage after the emitter: sort a batch's fragments by (part,
+    salt, tile_key, zorder), write them to one new file in ``exchange``
+    (a uuid name per call, so a retried task attempt never overwrites a
+    file the index lists) with one row group per (part, salt), and
+    return the index rows."""
+
+    def spill(frags: pa.Table) -> pa.Table:
+        skipped = pc.equal(frags.column("part"), tiling.SKIPPED_PART)
+        bad = frags.filter(skipped)
+        frags = frags.filter(pc.invert(skipped)).sort_by(_FRAG_ORDER)
+        out = [
+            _index_rows(
+                bad.num_rows,
+                image_id=bad.column("image_id"),
+                reason=bad.column("caption"),
+            )
+        ]
+        if frags.num_rows:
+            part = frags.column("part").to_numpy()
+            salt = frags.column("salt").to_numpy()
+            starts = np.flatnonzero(
+                np.r_[True, (part[1:] != part[:-1]) | (salt[1:] != salt[:-1])]
+            )
+            ends = np.r_[starts[1:], len(part)]
+            path = os.path.join(exchange, f"frags-{uuid.uuid4().hex}.parquet")
+            with pq.ParquetWriter(
+                path, frags.schema, compression="none", use_dictionary=False
+            ) as w:
+                for a, b in zip(starts.tolist(), ends.tolist()):
+                    w.write_table(frags.slice(a, b - a), row_group_size=b - a)
+            out.append(
+                _index_rows(
+                    len(starts),
+                    part=part[starts],
+                    salt=salt[starts],
+                    path=[path] * len(starts),
+                    row_group=np.arange(len(starts)),
+                    n=ends - starts,
+                )
+            )
+        return pa.concat_tables(out)
+
+    return spill
+
+
+def _read_fragments(path, row_group):
+    """One (part, salt) row group of a spilled fragment file."""
+    return pq.ParquetFile(path).read_row_group(row_group)
+
+
+def _partial_path(exchange, part, salt):
+    return os.path.join(exchange, f"partial-{part}-{salt}.parquet")
+
+
+def _write_partial(exchange, part, salt, table):
+    final = _partial_path(exchange, part, salt)
+    tmp = f"{final}.tmp.{os.getpid()}"
+    pq.write_table(table, tmp, compression="none", use_dictionary=False)
+    os.replace(tmp, final)
+
+
+def _record_skipped(out_dir, skipped):
+    """Merge {image_id: reason} into the ``skipped_images`` record, so
+    a resume that never decodes an image again keeps its report."""
+    if not skipped:
+        return
+    logging.getLogger(__name__).warning(
+        "skipped %d bad image(s): %s", len(skipped), sorted(skipped)
+    )
+    old = lineage.read_record(out_dir, "skipped_images") or {}
+    lineage.write_record(out_dir, "skipped_images", {**old, **skipped})
+
+
+def _run_units(units, fn):
+    """``fn`` (unit dict → table) once per unit, in at most one Ray task
+    per cluster CPU: units are dealt, largest ``n`` first, round robin
+    into one bin per task. Plain tasks, not a Ray Data job: on a 4-CPU
+    session a task per unit cost ~25 ms of scheduling each, more than
+    most units' work, and Ray Data's executor ran only two such tasks at
+    a time under a 768 MB object store. Returns the object refs of the
+    result tables once every task has finished (a task's error raises
+    here)."""
+    if not units:
+        return []
+    import ray
+
+    k = min(len(units), _cluster_cpus())
+    order = np.argsort([-u["n"] for u in units], kind="stable")
+    run = ray.remote(lambda batch: pa.concat_tables([fn(u) for u in batch]))
+    refs = [run.remote([units[i] for i in order[b::k]]) for b in range(k)]
+    ray.get(refs)
+    return refs
+
+
+def _commit_rows(refs):
+    """The commit rows of a committing job's result tables (tiny)."""
+    import ray
+
+    return pa.concat_tables([COMMIT_SCHEMA.empty_table()] + ray.get(refs)).to_pandas()
+
+
+def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
+                salt_plan=None, **emit_kwargs):
+    """The base level with no shuffle (A1, §4.2): emit + spill into
+    ``exchange``, then one reduce per unit reading its own row groups,
+    then one merge per salted part (both through ``_run_units``). With
+    ``commit_dir`` every part is committed there, the result holds one
+    ``COMMIT_SCHEMA`` row per part, and the images the emitter skipped
+    are recorded; without, the result is the tile rows. Returns the
+    object refs of the result tables."""
+    shutil.rmtree(exchange, ignore_errors=True)
+    os.makedirs(exchange)
+    index = (
+        fragments_dataset(images_path, z_base, z_part, salt_plan=salt_plan, **emit_kwargs)
+        .map_batches(_spill_fn(exchange), batch_format="pyarrow", batch_size=None, num_cpus=1)
+        .to_pandas()  # small: one row per (batch, part, salt)
+    )
+    if index.empty:
+        index = INDEX_SCHEMA.empty_table().to_pandas()
+    bad = index["path"].isna()
+    if commit_dir is None:
+        finish, empty = (lambda fn: fn), tiling.TILE_SCHEMA.empty_table()
+    else:
+        skipped = dict(zip(index["image_id"][bad], index["reason"][bad]))
+        _record_skipped(commit_dir, skipped)
+        finish = lambda fn: _commit_group_fn(commit_dir, lambda g: {z_base: fn(g)})
+        empty = COMMIT_SCHEMA.empty_table()
+    composite = finish(tiling.composite_part_group)
+    merge = finish(tiling.merge_partials_group)
+    plan = salt_plan or {}
+    units, salts = {}, {}
+    index = index[~bad]
+    for p, s, path, rg, n in zip(
+        index["part"].tolist(), index["salt"].tolist(),
+        index["path"].tolist(), index["row_group"].tolist(), index["n"].tolist(),
+    ):
+        u = units.setdefault(
+            (p, s), {"part": p, "salt": s, "paths": [], "row_groups": [], "n": 0}
+        )
+        u["paths"].append(path)
+        u["row_groups"].append(rg)
+        u["n"] += n
+        if plan.get(p, 1) > 1:
+            salts.setdefault(p, set()).add(s)
+
+    def reduce(u):
+        frags = pa.concat_tables(
+            [_read_fragments(*r) for r in zip(u["paths"], u["row_groups"])]
+        )
+        if u["part"] not in salts:
+            return composite(frags)
+        _write_partial(exchange, u["part"], u["salt"], tiling.partial_composite_group(frags))
+        return empty
+
+    def merge_part(u):
+        return merge(pa.concat_tables([pq.ParquetFile(p).read() for p in u["paths"]]))
+
+    parts = _run_units(list(units.values()), reduce)  # before the merges
+    return parts + _run_units(
+        [
+            {"paths": [_partial_path(exchange, p, s) for s in sorted(ss)], "n": len(ss)}
+            for p, ss in sorted(salts.items())
+        ],
+        merge_part,
     )
 
 
@@ -485,20 +682,22 @@ def _cascade_units(out_dir, z_read, manifests, anchor, done):
     of its anchor cell; a part coarser than the anchor is a unit of its
     own, holding several anchor cells. Units whose anchor cell is done
     at every level are dropped; a coarse part's done cells are dropped
-    inside its task."""
+    inside its task. A unit's ``n`` is its tiles of level ``z_read``."""
     parts = np.fromiter(manifests, dtype=np.int64, count=len(manifests))
     pz = tg.unpack_key(parts)[0]
     keys = tiling.part_of_key(parts, np.minimum(pz, anchor))
     units = {}
     for p, k in zip(parts.tolist(), keys.tolist()):
-        units.setdefault(k, []).append(lineage.part_parquet_path(out_dir, z_read, p))
-    return [{"paths": paths} for k, paths in sorted(units.items()) if k not in done]
+        u = units.setdefault(k, {"paths": [], "n": 0})
+        u["paths"].append(lineage.part_parquet_path(out_dir, z_read, p))
+        u["n"] += manifests[p]["n_tiles"]
+    return [u for k, u in sorted(units.items()) if k not in done]
 
 
 def _write_cascade(out_dir, z_read, anchor, manifests, overview_resampling):
     """Levels z_read-1 … anchor with no shuffle: the driver groups level
     z_read's committed part files (``manifests``: {part: manifest}) into
-    units by anchor cell, one Ray task per unit reads its own files, and
+    units by anchor cell, each unit reads its own files in a Ray task, and
     each anchor cell builds its whole sub-pyramid locally. Files no
     manifest lists (orphans, stale ``.tmp.<pid>`` writes) are never
     read."""
@@ -525,10 +724,9 @@ def _write_cascade(out_dir, z_read, anchor, manifests, overview_resampling):
         lambda g: tiling.cascade_part_group(g, anchor, z_read, overview_resampling),
     )
 
-    def run(batch: pa.Table) -> pa.Table:
-        paths = batch.column("paths")[0].as_py()
+    def run(unit):
         tiles = _with_part(
-            pa.concat_tables([_read_part(p) for p in paths]), anchor, done_arr
+            pa.concat_tables([_read_part(p) for p in unit["paths"]]), anchor, done_arr
         )
         cells = tiles.column("part").to_numpy()
         return pa.concat_tables(
@@ -536,16 +734,7 @@ def _write_cascade(out_dir, z_read, anchor, manifests, overview_resampling):
             + [commit(tiles.filter(pa.array(cells == c))) for c in np.unique(cells)]
         )
 
-    stats = COMMIT_SCHEMA.empty_table().to_pandas()
-    if units:
-        import ray.data as rd
-
-        stats = (
-            rd.from_items(units, override_num_blocks=len(units))
-            .map_batches(run, batch_size=1, batch_format="pyarrow")
-            .to_pandas()
-        )
-    _mark_levels(out_dir, levels, stats, len(done))
+    _mark_levels(out_dir, levels, _commit_rows(_run_units(units, run)), len(done))
 
 
 def write_pyramid(
@@ -572,7 +761,9 @@ def write_pyramid(
     Resume semantics: committed (level, part) partitions are skipped —
     fragment emission prunes done parts (an image whose parts are all
     committed is never decoded), the recorded salt plan is reused, and
-    completed levels short-circuit."""
+    completed levels short-circuit. Images skipped under
+    ``on_bad_image="skip"`` are recorded as {image_id: reason} in
+    ``lineage/skipped_images.json``, merged across resumes."""
     if z_base is None:
         z_base = auto_zoom(images_path, profile=profile)
     os.makedirs(out_dir, exist_ok=True)
@@ -587,6 +778,7 @@ def write_pyramid(
         },
     )
     # --- base level --------------------------------------------------------
+    exchange = os.path.join(out_dir, "exchange")
     if not lineage.level_is_complete(out_dir, z_base):
         z_part = default_z_part(z_base)
         done = lineage.done_parts(out_dir, z_base)
@@ -614,10 +806,12 @@ def write_pyramid(
             n_zorder = _count_rows(images_path)
         elif isinstance(salt, dict):
             salt_plan = salt
-        frags = fragments_dataset(
+        refs = _base_level(
             images_path,
+            exchange,
             z_base,
             z_part,
+            out_dir,
             resampling=resampling,
             salt_plan=salt_plan,
             n_zorder=n_zorder,
@@ -626,12 +820,8 @@ def write_pyramid(
             profile=profile,
             on_bad=on_bad_image,
         )
-        stats = _composite(
-            frags,
-            bool(salt_plan),
-            lambda fn: _commit_group_fn(out_dir, lambda g: {z_base: fn(g)}),
-        ).to_pandas()  # tiny: one row per part
-        _mark_levels(out_dir, [z_base], stats, len(done))
+        _mark_levels(out_dir, [z_base], _commit_rows(refs), len(done))
+    shutil.rmtree(exchange, ignore_errors=True)
     # --- overview cascades down to z_min -----------------------------------
     z_read = z_base
     while z_read > z_min:

@@ -4349,8 +4349,7 @@ def skew_census(sf_dir):
     z_base = pyramid.auto_zoom(paths["images"])
     z_part = pyramid.default_z_part(z_base)
     census = pyramid.census_parts(paths["images"], z_base, z_part)
-    col = "sum(n)" if "sum(n)" in census.columns else "n"
-    out = census.rename(columns={col: "n_fragments"})
+    out = census.rename(columns={"n": "n_fragments"})
     out["part"] = out["part"].astype("int64")
     out["n_fragments"] = out["n_fragments"].astype("int64")
     return (
@@ -4612,6 +4611,9 @@ def train_val_test_split(sf_dir):
     (wraps mod 2^64, which preserves the mod-2^32 result — no overflow
     at ANY doc_id, unlike a raw doc_id·K in int64 which wraps past
     ~3.5e9 docs); the oracle does the same arithmetic in HUGEINT.
+    ``doc_id mod 2^32`` is the floor modulo, in [0, 2^32) for negative
+    ids too (the uint64 cast wraps by 2^64, a multiple of 2^32); the
+    oracle spells it out, since SQL ``%`` keeps the dividend's sign.
     Output is the 3-row split audit (n_docs + token totals per split)
     via per-batch partials — the assignment column itself stays
     distributed and is what a writer would partition_by."""
@@ -4655,10 +4657,10 @@ def train_val_test_split(sf_dir):
 SPLIT_SQL = r"""
 WITH a AS (
   SELECT CASE
-           WHEN ((doc_id % 4294967296) * CAST(2654435761 AS HUGEINT))
-                % 4294967296 < 214748364 THEN 'test'
-           WHEN ((doc_id % 4294967296) * CAST(2654435761 AS HUGEINT))
-                % 4294967296 < 429496729 THEN 'val'
+           WHEN (((doc_id % 4294967296) + 4294967296) % 4294967296
+                 * CAST(2654435761 AS HUGEINT)) % 4294967296 < 214748364 THEN 'test'
+           WHEN (((doc_id % 4294967296) + 4294967296) % 4294967296
+                 * CAST(2654435761 AS HUGEINT)) % 4294967296 < 429496729 THEN 'val'
            ELSE 'train'
          END AS split,
          CAST(len(regexp_extract_all(text, '\S+')) AS BIGINT) AS n_tokens

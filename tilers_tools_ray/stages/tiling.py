@@ -1,8 +1,10 @@
 """Ray Data stages for the tile pyramid (SURVEY.md §3.1 engine flow).
 
-Design: the engine's ONE big shuffle per level is a
-``groupby(part)`` where ``part`` is the tile's quadtree ancestor cell
-at a coarse zoom (z_part). A part is the unit of:
+Design: ``part`` is a tile's quadtree ancestor cell at a coarse zoom
+(z_part). There is no shuffle: emitter tasks spill their fragments to
+part-sorted files, and each part (or each salt range of a hot part)
+reads only its own row groups (``pyramid._base_level``). A part is the
+unit of:
   - the composite reduce (every tile's fragments land in one group,
     because tile cells nest inside part cells),
   - the output parquet file (one file per part → resumable),
@@ -16,8 +18,8 @@ fragment alpha is binary (cutline mask), so composite is
 
 All hot stages use ``batch_format="pyarrow"``; pixels travel as
 zlib-1-packed RGBA ``binary`` values (≈17× smaller than raw for map
-imagery at >250 MB/s — the shuffle moves ~150 MB instead of 2.5 GB
-per 10k fragments) — never Python objects. ``pack_pixels`` /
+imagery at >250 MB/s — the fragment exchange moves ~150 MB instead
+of 2.5 GB per 10k fragments) — never Python objects. ``pack_pixels`` /
 ``unpack_pixels`` are the only codec for in-flight tile pixels.
 
 Reference parity: decode = M1 (PIL in the reference), warp-cut =
@@ -46,6 +48,11 @@ FRAGMENT_SCHEMA = pa.schema(
         ("frag", pa.binary()),
     ]
 )
+
+#: ``part`` of the one fragment row a skipped image leaves behind under
+#: ``on_bad="skip"``: its ``frag`` is null and its ``caption`` holds the
+#: reason, so the report reaches the driver with the fragments
+SKIPPED_PART = -1
 
 TILE_SCHEMA = pa.schema(
     [
@@ -138,8 +145,9 @@ class FragmentEmitter:
         self.profile = profile
         # "raise" (default) fails the job on a corrupt row; "skip"
         # drops the image whole (per-image buffering below guarantees
-        # no partial fragments) and logs it — at the 100 TB target a
-        # handful of corrupt blobs must not kill a multi-hour job
+        # no partial fragments) and emits one SKIPPED_PART row for it —
+        # at the 100 TB target a handful of corrupt blobs must not kill
+        # a multi-hour job
         self.on_bad = on_bad
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -192,12 +200,10 @@ class FragmentEmitter:
             except Exception as ex:
                 if self.on_bad != "skip":
                     raise
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "skipping bad image %r: %s", cols["image_id"][i], ex
-                )
-                continue
+                mine = {k: [None] for k in FRAGMENT_SCHEMA.names}
+                mine["part"] = [SKIPPED_PART]
+                mine["image_id"] = [cols["image_id"][i]]
+                mine["caption"] = [f"{type(ex).__name__}: {ex}"]
             for k in out:
                 out[k].extend(mine[k])
         return pa.table(out, schema=FRAGMENT_SCHEMA)
@@ -234,8 +240,8 @@ class FragmentEmitter:
 class TouchedParts:
     """Georef-only pre-pass (no decode): emit (part, n_frags) partial
     counts per batch — the census feeding the salt plan (§4.2) and the
-    per-part fragment estimate. Pre-aggregated inside the batch so the
-    following groupby shuffles one row per (batch, part)."""
+    per-part fragment estimate. Pre-aggregated inside the batch, so the
+    driver sums one row per (batch, part)."""
 
     def __init__(self, z_base, z_part, profile="mercator"):
         self.z_base = int(z_base)
@@ -439,7 +445,7 @@ def cascade_part_group(group: pa.Table, z_min: int, z_base: int, mode="box"):
     """ONE group = all tiles at z_base under one z_min-ancestor cell →
     the ENTIRE overview cascade z_base-1 … z_min for that cell, built
     locally (A2 applied level by level in-memory). Replaces one
-    shuffle per level with a single shuffle for all levels — the
+    shuffle per level with one local build per cell for all levels — the
     per-level groupby chain was pure fixed overhead at cluster scale.
 
     Returns {z: tile-rows pa.Table}. Group size is bounded by the

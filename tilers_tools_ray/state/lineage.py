@@ -3,6 +3,10 @@
 Layout under the job output dir:
   out/tiles/z=<z>/part=<part_id>-<uuid-less name>.parquet  (atomic: tmp+rename)
   out/lineage/z<z>/part<part_id>.json                      (commit marker)
+  out/lineage/<name>.json         job records (job, salt_plan, anchors,
+                                  skipped_images)
+  out/exchange/                   the base level's fragment files, wiped
+                                  before emission, gone once it is done
 
 A (level, part) is DONE iff its manifest JSON exists. Resume = read
 the done set, broadcast it, prune at the fragment emitter / level
