@@ -319,7 +319,10 @@ def test_on_bad_image_skip(ray_session, tmp_path):
     """A corrupt blob must not kill the job when on_bad_image='skip':
     the build completes, records the skipped image's id and reason in
     the lineage tree, and its tiles equal a build over the corpus
-    WITHOUT the bad row; the default policy still raises."""
+    WITHOUT the bad row; the default policy still raises. A salted
+    skipping build commits every base part under its own id (part ids
+    are 64-bit tile keys, which a float column would merge) and equals
+    the clean build level by level."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import pytest
@@ -365,3 +368,23 @@ def test_on_bad_image_skip(ray_session, tmp_path):
         pyramid.read_tiles(str(tmp_path / "pyr_clean")),
     ).to_pandas()
     assert len(d) == 0, d.head()
+
+    salted = str(tmp_path / "pyr_skip_salted")
+    pyramid.write_pyramid(
+        bad_path, salted, z_min=6, salt="auto", salt_threshold=4,
+        salt_target=2, on_bad_image="skip",
+    )
+    assert max(lineage.read_record(salted, "salt_plan")["plan"].values()) > 1
+    z_base = max(lineage.job_summary(salted))
+    keys = pyramid.read_tiles(salted, z=z_base, columns=["tile_key"]).to_pandas()
+    assert lineage.done_parts(salted, z_base) == set(
+        pyramid.tiling.part_of_key(keys["tile_key"].to_numpy(), pyramid.default_z_part(z_base)).tolist()
+    )
+
+    def levels(out):
+        return {
+            z: (s["parts"], s["tiles"], s["checksum_xor"])
+            for z, s in lineage.job_summary(out).items()
+        }
+
+    assert levels(salted) == levels(str(tmp_path / "pyr_clean"))

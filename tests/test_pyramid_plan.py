@@ -99,12 +99,13 @@ def _levels(summary):
     return {z: (s["tiles"], s["checksum_xor"]) for z, s in summary.items()}
 
 
-def _crash_copy(src, dst, z_base, z_min):
-    """``src`` as a crash during its base level leaves it: a quarter of
-    the base parts and every overview level gone."""
+def _crash_copy(src, dst, z_base, z_min, every=4):
+    """``src`` as a crash during its base level leaves it: every
+    ``every``-th base part (a quarter by default) and every overview
+    level gone."""
     shutil.copytree(src, dst)
     done = sorted(lineage.done_parts(dst, z_base))
-    for p in done[:: 4]:
+    for p in done[::every]:
         os.remove(lineage.part_parquet_path(dst, z_base, p))
         os.remove(lineage.manifest_path(dst, z_base, p))
     os.remove(lineage.level_complete_marker(dst, z_base))
@@ -150,6 +151,17 @@ def test_resume_reuses_recorded_salt_plan(tiny_corpus, z_base, built, tmp_path, 
     again = pyramid.write_pyramid(
         tiny_corpus["images"], res, z_min=z_base - SPAN, **SALT
     )
+    assert _levels(again) == _levels(summary)
+
+
+def test_resume_of_one_lost_base_part(tiny_corpus, z_base, built, tmp_path):
+    """A resume that lost one base part, where most emitter tasks prune
+    every fragment and return empty blocks, equals the single run."""
+    out, summary, _ = built
+    res = str(tmp_path / "one_lost")
+    _crash_copy(out, res, z_base, z_base - SPAN, every=len(lineage.done_parts(out, z_base)))
+    assert len(lineage.done_parts(res, z_base)) == summary[z_base]["parts"] - 1
+    again = pyramid.write_pyramid(tiny_corpus["images"], res, z_min=z_base - SPAN, **SALT)
     assert _levels(again) == _levels(summary)
 
 

@@ -313,7 +313,12 @@ def base_tiles(
 ):
     """Pure (no side effects) base-tile Dataset — tests / entry(). The
     same base-level routine as ``write_pyramid`` with committing off,
-    through a temporary exchange dir; returns the materialized tiles."""
+    through a temporary exchange dir; returns the materialized tiles.
+
+    The exchange dir is a ``tempfile.mkdtemp`` dir under the driver's
+    temp dir (``TMPDIR``), and the workers write and read every fragment
+    there: this needs a single node, or a ``TMPDIR`` on a filesystem
+    every worker mounts at the same path."""
     import ray.data as rd
 
     if z_base is None:
@@ -365,7 +370,6 @@ INDEX_SCHEMA = pa.schema(
         ("salt", pa.int32()),
         ("path", pa.string()),
         ("row_group", pa.int32()),
-        ("n", pa.int64()),
         ("image_id", pa.string()),
         ("reason", pa.string()),
     ]
@@ -419,7 +423,6 @@ def _spill_fn(exchange):
                     salt=salt[starts],
                     path=[path] * len(starts),
                     row_group=np.arange(len(starts)),
-                    n=ends - starts,
                 )
             )
         return pa.concat_tables(out)
@@ -456,22 +459,16 @@ def _record_skipped(out_dir, skipped):
 
 
 def _run_units(units, fn):
-    """``fn`` (unit dict → table) once per unit, in at most one Ray task
-    per cluster CPU: units are dealt, largest ``n`` first, round robin
-    into one bin per task. Plain tasks, not a Ray Data job: on a 4-CPU
-    session a task per unit cost ~25 ms of scheduling each, more than
-    most units' work, and Ray Data's executor ran only two such tasks at
-    a time under a 768 MB object store. Returns the object refs of the
-    result tables once every task has finished (a task's error raises
-    here)."""
-    if not units:
-        return []
+    """``fn`` (unit dict → table) once per unit, one plain Ray task
+    each, not a Ray Data job: on a 4-CPU session a Ray Data task per
+    unit cost ~25 ms of scheduling each, more than most units' work, and
+    its executor ran only two such tasks at a time under a 768 MB object
+    store. Returns the object refs of the result tables once every task
+    has finished (a task's error raises here)."""
     import ray
 
-    k = min(len(units), _cluster_cpus())
-    order = np.argsort([-u["n"] for u in units], kind="stable")
-    run = ray.remote(lambda batch: pa.concat_tables([fn(u) for u in batch]))
-    refs = [run.remote([units[i] for i in order[b::k]]) for b in range(k)]
+    run = ray.remote(fn)
+    refs = [run.remote(u) for u in units]
     ray.get(refs)
     return refs
 
@@ -492,38 +489,42 @@ def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
     ``COMMIT_SCHEMA`` row per part, and the images the emitter skipped
     are recorded; without, the result is the tile rows. Returns the
     object refs of the result tables."""
+    import ray
+
     shutil.rmtree(exchange, ignore_errors=True)
     os.makedirs(exchange)
-    index = (
+    # small: one row per (batch, part, salt). Kept in Arrow: a pandas
+    # frame would turn the int64 part ids into float64 (53-bit) as soon
+    # as a skipped image's row carries a null part. A block whose
+    # emitter pruned every fragment (a resume) has no columns
+    blocks = ray.get(
         fragments_dataset(images_path, z_base, z_part, salt_plan=salt_plan, **emit_kwargs)
         .map_batches(_spill_fn(exchange), batch_format="pyarrow", batch_size=None, num_cpus=1)
-        .to_pandas()  # small: one row per (batch, part, salt)
+        .to_arrow_refs()
     )
-    if index.empty:
-        index = INDEX_SCHEMA.empty_table().to_pandas()
-    bad = index["path"].isna()
+    index = pa.concat_tables([INDEX_SCHEMA.empty_table()] + [b for b in blocks if b.num_rows])
+    bad = pc.is_null(index.column("path"))
     if commit_dir is None:
         finish, empty = (lambda fn: fn), tiling.TILE_SCHEMA.empty_table()
     else:
-        skipped = dict(zip(index["image_id"][bad], index["reason"][bad]))
-        _record_skipped(commit_dir, skipped)
+        skipped = index.filter(bad)
+        _record_skipped(
+            commit_dir,
+            dict(zip(skipped.column("image_id").to_pylist(), skipped.column("reason").to_pylist())),
+        )
         finish = lambda fn: _commit_group_fn(commit_dir, lambda g: {z_base: fn(g)})
         empty = COMMIT_SCHEMA.empty_table()
     composite = finish(tiling.composite_part_group)
     merge = finish(tiling.merge_partials_group)
     plan = salt_plan or {}
     units, salts = {}, {}
-    index = index[~bad]
-    for p, s, path, rg, n in zip(
-        index["part"].tolist(), index["salt"].tolist(),
-        index["path"].tolist(), index["row_group"].tolist(), index["n"].tolist(),
+    index = index.filter(pc.invert(bad))
+    for p, s, path, rg in zip(
+        *(index.column(c).to_pylist() for c in ("part", "salt", "path", "row_group"))
     ):
-        u = units.setdefault(
-            (p, s), {"part": p, "salt": s, "paths": [], "row_groups": [], "n": 0}
-        )
+        u = units.setdefault((p, s), {"part": p, "salt": s, "paths": [], "row_groups": []})
         u["paths"].append(path)
         u["row_groups"].append(rg)
-        u["n"] += n
         if plan.get(p, 1) > 1:
             salts.setdefault(p, set()).add(s)
 
@@ -542,7 +543,7 @@ def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
     parts = _run_units(list(units.values()), reduce)  # before the merges
     return parts + _run_units(
         [
-            {"paths": [_partial_path(exchange, p, s) for s in sorted(ss)], "n": len(ss)}
+            {"paths": [_partial_path(exchange, p, s) for s in sorted(ss)]}
             for p, ss in sorted(salts.items())
         ],
         merge_part,
@@ -682,15 +683,15 @@ def _cascade_units(out_dir, z_read, manifests, anchor, done):
     of its anchor cell; a part coarser than the anchor is a unit of its
     own, holding several anchor cells. Units whose anchor cell is done
     at every level are dropped; a coarse part's done cells are dropped
-    inside its task. A unit's ``n`` is its tiles of level ``z_read``."""
+    inside its task."""
     parts = np.fromiter(manifests, dtype=np.int64, count=len(manifests))
     pz = tg.unpack_key(parts)[0]
     keys = tiling.part_of_key(parts, np.minimum(pz, anchor))
     units = {}
     for p, k in zip(parts.tolist(), keys.tolist()):
-        u = units.setdefault(k, {"paths": [], "n": 0})
-        u["paths"].append(lineage.part_parquet_path(out_dir, z_read, p))
-        u["n"] += manifests[p]["n_tiles"]
+        units.setdefault(k, {"paths": []})["paths"].append(
+            lineage.part_parquet_path(out_dir, z_read, p)
+        )
     return [u for k, u in sorted(units.items()) if k not in done]
 
 
