@@ -355,9 +355,13 @@ def test_bloom_bitmap_contract():
 
 
 def test_anti_join_bloom_split_identity(ray_session):
-    """anti_join with the Bloom split (non-hits bypass the shuffle)
-    must return exactly the rows of the plain shuffled path, including
-    the all-match and empty-right edges."""
+    """anti_join's broadcast key filter (under ``broadcast_limit``,
+    with and without a ``right_rows_bound``) and its distributed path
+    (Bloom split — non-hits bypass the shuffle — plus the left-outer
+    join; ``broadcast_limit=-1`` forces it even for an empty key set)
+    return exactly the NOT-IN rows on planted keys: negative keys,
+    duplicate right keys, an all-matching left side and an empty
+    right side."""
     import numpy as np
     import ray.data as rd
 
@@ -366,32 +370,38 @@ def test_anti_join_bloom_split_identity(ray_session):
     rng = np.random.default_rng(3)
     left = pd.DataFrame(
         {
-            "k": rng.integers(0, 1000, 8000).astype("int64"),
+            "k": rng.integers(-500, 500, 8000).astype("int64"),
             "v": np.arange(8000, dtype="int64"),
         }
     )
     for right_keys in (
-        np.arange(0, 500, 2, dtype="int64"),  # half the key space
-        np.arange(0, 1000, dtype="int64"),  # everything matches
+        np.arange(-500, 0, 2, dtype="int64"),  # negative half, evens
+        np.repeat(np.arange(-300, 300, 7, dtype="int64"), 3),  # dups
+        np.arange(-500, 500, dtype="int64"),  # everything matches
         np.array([], dtype="int64"),  # nothing matches
     ):
-        lds = rd.from_pandas(left).repartition(7)
-        rds = rd.from_pandas(pd.DataFrame({"k": right_keys}))
-        got = _to_pandas(ops.anti_join(lds, rds, on="k", bloom=True))
-        if got.empty:  # an all-empty Dataset has no schema (same on
-            # the non-bloom path) — normalize for the frame compare
-            got = pd.DataFrame(
-                {c: pd.Series(dtype="int64") for c in ("k", "v")}
-            )
-        got = got.sort_values("v").reset_index(drop=True)
         exp = (
             left[~left["k"].isin(right_keys)]
             .sort_values("v")
             .reset_index(drop=True)
         )
-        pd.testing.assert_frame_equal(
-            got[["k", "v"]], exp, check_dtype=False
-        )
+        for kw in (
+            {},
+            {"right_rows_bound": len(right_keys)},
+            {"broadcast_limit": -1},
+        ):
+            lds = rd.from_pandas(left).repartition(7)
+            rds = rd.from_pandas(pd.DataFrame({"k": right_keys}))
+            got = _to_pandas(ops.anti_join(lds, rds, on="k", **kw))
+            if got.empty:  # an all-empty Dataset has no schema —
+                # normalize for the frame compare
+                got = pd.DataFrame(
+                    {c: pd.Series(dtype="int64") for c in ("k", "v")}
+                )
+            got = got.sort_values("v").reset_index(drop=True)
+            pd.testing.assert_frame_equal(
+                got[["k", "v"]], exp, check_dtype=False
+            )
 
 
 def test_with_row_rank_is_global_row_number(ray_session):
@@ -587,6 +597,7 @@ def test_inactive_anti_join_fallback(registry):
         "nation_year_rollup",
         "doc_salient_terms",
         "q16_brand_size_suppliers",
+        "q22_idle_rich_customers",
     ],
 )
 def test_dim_join_fallback(registry, name):
@@ -600,6 +611,148 @@ def test_dim_join_fallback(registry, name):
     fast = _normalize(_to_pandas(fn(SF)))
     fallback = _normalize(_to_pandas(fn(SF, broadcast_limit=0)))
     pd.testing.assert_frame_equal(fast, fallback, check_dtype=False)
+
+
+def test_worker_cached_is_a_small_lru(ray_session, monkeypatch):
+    """ops.worker_cached builds each broadcast once per process and
+    keeps only a handful of entries, so cached plasma views cannot pin
+    the object store."""
+    import ray
+
+    from tilers_tools_ray.relational import ops
+
+    monkeypatch.setattr(ops, "_worker_cache", type(ops._worker_cache)())
+    built = []
+
+    def build(v):
+        built.append(v)
+        return v * 10
+
+    refs = [ray.put(i) for i in range(ops._WORKER_CACHE_SIZE + 1)]
+    assert [ops.worker_cached(r, build) for r in refs[:2]] == [0, 10]
+    assert ops.worker_cached(refs[0], build) == 0 and built == [0, 1]
+    for r in refs[2:]:
+        ops.worker_cached(r, build)
+    # refs[0] was used last among the first two, so refs[1] is evicted
+    assert len(ops._worker_cache) == ops._WORKER_CACHE_SIZE
+    assert refs[1].binary() not in ops._worker_cache
+    assert refs[0].binary() in ops._worker_cache
+
+
+#: the benchmark's swept queries plus customers_inactive_1995 (the
+#: other anti-join shape)
+_NO_ACTOR_QUERIES = (
+    "q1_pricing_summary",
+    "q5_nation_revenue",
+    "q9_product_profit",
+    "q18_large_orders",
+    "q22_idle_rich_customers",
+    "events_sessionize",
+    "customer_order_windows",
+    "dedup_exact_docs",
+    "doc_top_terms",
+    "benchmark_contamination",
+    "ngram_decontamination",
+    "ann_cosine_topk",
+    "nation_segment_cube",
+    "spatial_join_images",
+    "customers_inactive_1995",
+)
+
+
+def test_swept_shapes_start_no_actors(registry, monkeypatch):
+    """Below ``broadcast_limit`` the broadcast lookups run as plain
+    tasks and the small-side joins as broadcasts: no actor pool (a
+    class ``fn`` or a ``concurrency=`` argument to ``map_batches``) and
+    no Ray native join (``Dataset.join`` starts one hash-shuffle
+    aggregator actor per partition). Each result still equals its
+    DuckDB oracle, or golden for the spatial join."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from tilers_tools_ray import golden
+    from tilers_tools_ray.relational import queries as Q
+
+    real_map_batches = rd.Dataset.map_batches
+
+    def no_join(self, *args, **kwargs):
+        raise AssertionError("Dataset.join (hash-shuffle actors) called")
+
+    def map_batches(self, fn, *args, **kwargs):
+        if isinstance(fn, type) or kwargs.get("concurrency") is not None:
+            raise AssertionError(f"actor pool started for {fn!r}")
+        return real_map_batches(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "join", no_join)
+    monkeypatch.setattr(rd.Dataset, "map_batches", map_batches)
+    qs, oracles = registry
+    for name in _NO_ACTOR_QUERIES:
+        got = _to_pandas(qs[name](SF))
+        if name in oracles:
+            pd.testing.assert_frame_equal(
+                _normalize(got), _normalize(_duck(oracles[name])),
+                check_dtype=False,
+            )
+            continue
+        paths = Q._corpus_for(SF)
+        want = {}
+        for _, region in golden.spatial_join(
+            pq.read_table(paths["images"]),
+            pq.read_table(paths["coverage"]),
+            knn_eps=5e4,
+        ):
+            want[region] = want.get(region, 0) + 1
+        assert dict(zip(got["region_id"], got["n_images"])) == want, name
+
+
+def test_events_props_depth_bound(ray_session, tmp_path):
+    """events_props_stats vs DuckDB's json_extract_string on planted
+    props: top-level ``"k"`` after nested values up to two objects
+    deep, inside strings and arrays, and absent. The documented bound
+    is pinned too: after a value three objects deep the engine reads
+    NULL where the oracle reads the key."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from tilers_tools_ray.relational import queries as Q
+
+    within = [
+        '{"k": 3}',
+        '{"a": {"k": 1}}',
+        '{"a": {"b": 2}, "k": 4}',
+        '{"a": {"b": {"c": 1}}, "k": 5}',
+        '{"a": {"b": {"k": 9}}}',
+        '{"note": "\\"k\\": 8", "k": -2}',
+        '{"a": [{"k": 1}, {"b": {"k": 2}}], "k": 7}',
+        '{"a": "}", "k": 6}',
+        '{"kk": 1}',
+        None,
+    ]
+    beyond = '{"a": {"b": {"c": {"d": 1}}}, "k": 5}'
+
+    def stats(props):
+        pq.write_table(
+            pa.table(
+                {
+                    "event_type": [f"t{i}" for i in range(len(props))],
+                    "props": pa.array(props, pa.string()),
+                }
+            ),
+            str(tmp_path / "events.parquet"),
+        )
+        got = _to_pandas(Q.events_props_stats(str(tmp_path)))
+        con = duckdb.connect()
+        con.execute(
+            "CREATE VIEW events AS SELECT * FROM "
+            f"read_parquet('{tmp_path / 'events.parquet'}')"
+        )
+        return _normalize(got), _normalize(con.execute(Q.PROPS_SQL).df())
+
+    got, want = stats(within)
+    assert want["n_with_k"].sum() == 6
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    got, want = stats([beyond])
+    assert (want["sum_k"].tolist(), got["sum_k"].tolist()) == ([5], [0])
 
 
 def test_cli_query_runner(ray_session, tmp_path, capsys):

@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import ops
+
 
 def _normalize(m):
     m = np.asarray(m, dtype=np.float64)
@@ -26,13 +28,10 @@ def _normalize(m):
 
 
 class BruteScorer:
-    """Per-batch exact scorer vs broadcast queries (state: normalized
-    query matrix, fetched once per actor)."""
+    """Per-batch exact scorer vs the broadcast ``{"qids", "vecs"}``
+    queries (state: normalized query matrix, built once per worker)."""
 
-    def __init__(self, queries_ref, k, exclude_self=True):
-        import ray
-
-        q = queries_ref if isinstance(queries_ref, dict) else ray.get(queries_ref)
+    def __init__(self, q, k, exclude_self=True):
         self.qids = np.asarray(q["qids"], dtype=np.int64)
         self.qm = _normalize(q["vecs"])
         self.k = int(k)
@@ -76,19 +75,19 @@ def _finalize_topk(partials_ds, k):
     )
 
 
-def brute_topk(emb_ds, query_ids, query_vecs, k=10, concurrency=(1, 8)):
+def brute_topk(emb_ds, query_ids, query_vecs, k=10):
     """Exact cosine top-k for each query vector. Returns a Dataset of
-    (query_id, vec_id, rank)."""
+    (query_id, vec_id, rank). Scoring runs in plain tasks fused with
+    the read; each worker builds its :class:`BruteScorer` once
+    (``ops.worker_cached``), so no actor pool is started."""
     import ray
 
     ref = ray.put({"qids": list(query_ids), "vecs": np.asarray(query_vecs)})
-    partials = emb_ds.map_batches(
-        BruteScorer,
-        fn_constructor_kwargs={"queries_ref": ref, "k": k},
-        batch_format="pandas",
-        batch_size=4096,
-        concurrency=concurrency,
-    )
+
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        return ops.worker_cached(ref, lambda q: BruteScorer(q, k))(batch)
+
+    partials = emb_ds.map_batches(score, batch_format="pandas", batch_size=4096)
     return _finalize_topk(partials, k)
 
 

@@ -7,15 +7,24 @@ ray_guide.md: broadcast the small side of a join (``ray.put`` once,
 pandas merge per batch), bucket-hash both sides when large
 (tagged union → ``groupby(bucket)`` → per-bucket pandas merge),
 pre-aggregate inside ``map_batches`` before any groupby.
+
+Every broadcast lookup (merge, semi/anti key filter, Bloom test,
+candidate count) runs as a plain stateless task that fetches its state
+through :func:`worker_cached`, so Ray Data fuses it into the upstream
+read and no actor pool is started. A join partitions (Ray's hash
+shuffle, which starts one aggregator actor per partition) only when
+its size guard says the small side does not fit ``broadcast_limit``.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 TABLES = (
     "region",
@@ -104,23 +113,53 @@ def table_rows(sf_dir, table):
 # ---------------------------------------------------------------------------
 
 
+_WORKER_CACHE_SIZE = 4
+_worker_cache = OrderedDict()
+
+
+def worker_cached(ref, build=None):
+    """``build(ray.get(ref))`` (or the fetched object itself), memoized
+    per worker process keyed by the ObjectRef — the per-batch lookup
+    state of a plain task is fetched and built once per worker, not
+    once per batch, with no actor to start. A ref maps to ONE built
+    value: callers pair each ``ray.put`` with a single ``build``. The
+    cache is a small LRU so a cached zero-copy plasma view cannot pin
+    more than a handful of broadcast objects in the store. When the
+    package itself ships by value (``register_pickle_by_value``, the
+    path-less driver contract) each task unpickles its own copy of
+    this module's globals, so the cache then lives per task."""
+    import ray
+
+    key = ref.binary()
+    # pop + reinsert moves a hit to the LRU end; each step is one
+    # atomic dict operation, so a concurrent caller can at worst build
+    # the value twice
+    val = _worker_cache.pop(key, None)
+    if val is None:
+        val = ray.get(ref)
+        if build is not None:
+            val = build(val)
+    _worker_cache[key] = val
+    while len(_worker_cache) > _WORKER_CACHE_SIZE:
+        _worker_cache.popitem(last=False)
+    return val
+
+
 def broadcast_join(left_ds, right_df, on, how="inner", suffix="_r"):
-    """Small right side: ship once via ray.put, pandas-merge per batch.
-    No shuffle (ray_guide.md 'Joins and lookups')."""
+    """Small right side: ship once via ray.put, pandas-merge per batch
+    in a plain task (the frame is fetched once per worker through
+    :func:`worker_cached`). No shuffle and no actor pool
+    (ray_guide.md 'Joins and lookups')."""
     import ray
 
     ref = ray.put(right_df)
 
-    class Merge:
-        def __init__(self):
-            self.right = ray.get(ref)
+    def merge(batch: pd.DataFrame) -> pd.DataFrame:
+        return batch.merge(
+            worker_cached(ref), on=on, how=how, suffixes=("", suffix)
+        )
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(self.right, on=on, how=how, suffixes=("", suffix))
-
-    return left_ds.map_batches(
-        Merge, batch_format="pandas", batch_size=65536, concurrency=(1, 8)
-    )
+    return left_ds.map_batches(merge, batch_format="pandas", batch_size=65536)
 
 
 def _cap_join_partitions(num_partitions):
@@ -688,21 +727,15 @@ def heavy_hitters(
     # pass 2: exact counts of the candidate set only
     cand_ref = ray.put(set(candidates.tolist()))
 
-    class ExactCount:
-        def __init__(self):
-            self.cand = ray.get(cand_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch[batch[col].isin(self.cand)]
-            vc = b[col].value_counts()
-            return pd.DataFrame(
-                {col: vc.index.to_numpy(), "cnt": vc.to_numpy().astype("int64")}
-            )
+    def exact_count(batch: pd.DataFrame) -> pd.DataFrame:
+        b = batch[batch[col].isin(worker_cached(cand_ref))]
+        vc = b[col].value_counts()
+        return pd.DataFrame(
+            {col: vc.index.to_numpy(), "cnt": vc.to_numpy().astype("int64")}
+        )
 
     exact = (
-        ds.map_batches(
-            ExactCount, batch_format="pandas", batch_size=65536, concurrency=(1, 8)
-        )
+        ds.map_batches(exact_count, batch_format="pandas", batch_size=65536)
         .to_pandas()
         .groupby(col, as_index=False, sort=False)["cnt"]
         .sum()
@@ -1056,51 +1089,70 @@ def grouped_variance(ds, keys, col, batch_size=65536):
 
 
 def anti_join(
-    left_ds, right_keys_ds, on, right_on=None, num_partitions=32, bloom=True
+    left_ds,
+    right_keys_ds,
+    on,
+    right_on=None,
+    num_partitions=32,
+    bloom=True,
+    broadcast_limit=5_000_000,
+    right_rows_bound=None,
 ):
     """LEFT ANTI join: rows of ``left_ds`` whose key has NO match in
-    ``right_keys_ds``. Ray 2.49 has no native anti join type, so this
-    is a partitioned left-outer join against the (deduplicated) key
-    set with a presence marker, followed by a null-marker filter —
-    both sides shuffle once on the key; nothing is collected or
-    broadcast, so the right side may be arbitrarily large (the scale
-    alternative to a broadcast anti-filter).
+    ``right_keys_ds``, with the same size guard as :func:`semi_join`.
 
-    With ``bloom=True`` the left side is SPLIT by a Bloom test on the
-    right key set first: a Bloom has no false negatives, so a non-hit
-    row is GUARANTEED unmatched and goes straight to the output with
-    no shuffle at all — only hits (matches + ~0.3% FPs) enter the
-    join. The tagged left is materialized once (plasma, spillable) so
-    the split does not re-read the input; the trade is one
-    object-store copy of the left against shuffling only the hit
-    subset instead of everything — a win whenever a meaningful
-    fraction of left keys are absent from the right."""
-    num_partitions = _cap_join_partitions(num_partitions)
+    ≤ ``broadcast_limit`` right rows: the sorted distinct key array
+    ships once via ray.put and each batch keeps the rows a vectorized
+    searchsorted finds no match for — plain tasks, no exchange.
+    ``right_rows_bound`` is an upper bound on the right side's rows
+    the caller knows without executing it (:func:`table_rows` of the
+    table the key slice is filtered from); when it fits the limit the
+    count barrier is skipped and the key column is collected directly.
+
+    Above the limit: Ray 2.49 has no native anti join type, so this is
+    a partitioned left-outer join against the key set with a presence
+    marker, followed by a null-marker filter — both sides shuffle once
+    on the key; nothing is collected or broadcast, so the right side
+    may be arbitrarily large. With ``bloom=True`` the left side is
+    SPLIT by a Bloom test on the right key set first: a Bloom has no
+    false negatives, so a non-hit row is GUARANTEED unmatched and goes
+    straight to the output with no shuffle at all — only hits
+    (matches + ~0.3% FPs) enter the join. The tagged left is
+    materialized once (plasma, spillable) so the split does not
+    re-read the input. Both paths return the same rows
+    (test_anti_join_bloom_split_identity)."""
     right_on = right_on or on
+    if right_rows_bound is not None and right_rows_bound <= broadcast_limit:
+        return _broadcast_key_filter(
+            left_ds, _collect_keys(right_keys_ds, right_on), on, anti=True
+        )
+    keys = right_keys_ds.select_columns([right_on]).materialize()
+    n_keys = keys.count()
+    if n_keys <= broadcast_limit:
+        return _broadcast_key_filter(
+            left_ds, _collect_keys(keys, right_on), on, anti=True
+        )
+    num_partitions = _cap_join_partitions(num_partitions)
 
     def mark(b: pd.DataFrame) -> pd.DataFrame:
         out = b[[right_on]].drop_duplicates()
         out["__hit"] = np.int64(1)
         return out
 
-    marked = right_keys_ds.map_batches(mark, batch_format="pandas")
+    marked = keys.map_batches(mark, batch_format="pandas")
     passthrough = None
     if bloom:
         import ray
 
-        keys = right_keys_ds.select_columns([right_on]).materialize()
-        n_keys = keys.count()
         bitmap, pow_ = build_bloom(keys, right_on, n_keys)
         bm_ref = ray.put(bitmap)
 
         def tag(b: pd.DataFrame) -> pd.DataFrame:
-            import ray as _ray
-
             b = b.copy()
             if len(b):
-                bm = _ray.get(bm_ref)
                 b["__bh"] = _bloom_test(
-                    bm, _bloom_indices(b[on].to_numpy(), pow_)
+                    worker_cached(bm_ref),
+                    _bloom_indices(b[on].to_numpy(), pow_),
                 )
             else:
                 b["__bh"] = np.array([], dtype=bool)
@@ -1134,11 +1186,14 @@ def anti_join(
     )
     drop = ["__hit"] + ([right_on] if right_on != on else [])
 
-    def keep_missing(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[b["__hit"].isna()]
-        return out.drop(columns=[c for c in drop if c in out.columns])
+    def keep_missing(t: pa.Table) -> pa.Table:
+        # Arrow, not pandas: an all-matched batch as an empty pandas
+        # frame has object-dtype string columns, on which Ray's block
+        # size estimate logs "cannot call `vectorize` on size 0 inputs"
+        t = t.filter(pc.is_null(t["__hit"]))
+        return t.drop_columns([c for c in drop if c in t.column_names])
 
-    out = j.map_batches(keep_missing, batch_format="pandas")
+    out = j.map_batches(keep_missing, batch_format="pyarrow")
     if passthrough is not None:
         # normalize both branches to arrow before union (join output
         # schema ordering can differ from the passthrough's)
@@ -1275,8 +1330,11 @@ def bloom_prefilter(left_ds, bitmap, pow_, on, batch_size=131072):
     def pref(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
             return b
-        bm = ray.get(ref)
-        return b[_bloom_test(bm, _bloom_indices(b[on].to_numpy(), pow_))]
+        return b[
+            _bloom_test(
+                worker_cached(ref), _bloom_indices(b[on].to_numpy(), pow_)
+            )
+        ]
 
     return left_ds.map_batches(pref, batch_format="pandas", batch_size=batch_size)
 
@@ -1399,30 +1457,40 @@ def _drop_if_present(ds, cols):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _semi_broadcast(left_ds, arr, on):
-    """The broadcast half of semi_join: ship the distinct key array
-    once via ray.put, filter per batch with a vectorized searchsorted
-    (numeric keys) or set isin (strings). Plain task map — no actor
-    pool spin-up for what is stateless plasma-cached lookup."""
+def _collect_keys(keys_ds, col):
+    """The key column of a (size-guarded) Dataset as a numpy array. An
+    all-empty Dataset collects schema-less — that is an empty key set."""
+    df = keys_ds.select_columns([col]).to_pandas()
+    if col not in df.columns:
+        return np.array([], dtype=np.int64)
+    return df[col].to_numpy()
+
+
+def _broadcast_key_filter(left_ds, arr, on, anti=False):
+    """The broadcast half of semi_join/anti_join: ship the distinct key
+    array once via ray.put, keep (semi) or drop (anti) the rows whose
+    key it holds, per batch with a vectorized searchsorted (numeric
+    keys) or set isin (strings). Plain task map: the key array is
+    fetched once per worker (:func:`worker_cached`), no actor pool."""
     import ray
 
-    numeric = np.issubdtype(np.asarray(arr).dtype, np.number)
-    payload = np.unique(arr) if numeric else frozenset(np.asarray(arr).tolist())
+    arr = np.asarray(arr)
+    numeric = np.issubdtype(arr.dtype, np.number)
+    payload = np.unique(arr) if numeric else frozenset(arr.tolist())
     ref = ray.put(payload)
 
-    def semi(b: pd.DataFrame) -> pd.DataFrame:
-        k = ray.get(ref)  # zero-copy plasma view, cached per worker
-        v = b[on].to_numpy()
-        if numeric:
-            if len(k) == 0:
-                return b.iloc[:0]
-            idx = np.clip(np.searchsorted(k, v), 0, len(k) - 1)
-            return b[k[idx] == v]
-        return b[b[on].isin(k)]
+    def filt(b: pd.DataFrame) -> pd.DataFrame:
+        k = worker_cached(ref)
+        if not numeric:
+            hit = b[on].isin(k).to_numpy()
+        elif len(k) == 0:
+            hit = np.zeros(len(b), dtype=bool)
+        else:
+            v = b[on].to_numpy()
+            hit = k[np.clip(np.searchsorted(k, v), 0, len(k) - 1)] == v
+        return b[~hit] if anti else b[hit]
 
-    return left_ds.map_batches(
-        semi, batch_format="pandas", batch_size=131072
-    )
+    return left_ds.map_batches(filt, batch_format="pandas", batch_size=131072)
 
 
 def semi_join(
@@ -1462,7 +1530,7 @@ def semi_join(
             if isinstance(right_keys_ds, pd.Series)
             else right_keys_ds
         )
-        return _semi_broadcast(left_ds, arr, on)
+        return _broadcast_key_filter(left_ds, arr, on)
     if (
         right_rows_bound is not None
         and right_rows_bound <= broadcast_limit
@@ -1470,18 +1538,15 @@ def semi_join(
         # caller-supplied metadata bound (table_rows of the source the
         # key slice was filtered from): skip the materialize+count
         # barrier, collect the ≤-bound key column directly
-        arr = (
-            right_keys_ds.select_columns([r_on]).to_pandas()[r_on].to_numpy()
+        return _broadcast_key_filter(
+            left_ds, _collect_keys(right_keys_ds, r_on), on
         )
-        return _semi_broadcast(left_ds, arr, on)
     keys_ds = right_keys_ds.select_columns([r_on]).materialize()
     n = keys_ds.count()  # upper bound (pre-dedup) — a safe guard
     if n == 0:
         return left_ds.limit(0)  # empty key set ⇒ empty semi join
     if n <= broadcast_limit:
-        return _semi_broadcast(
-            left_ds, keys_ds.to_pandas()[r_on].to_numpy(), on
-        )
+        return _broadcast_key_filter(left_ds, _collect_keys(keys_ds, r_on), on)
 
     # distributed: global distinct of the key set, then inner join —
     # with the fact side Bloom-prefiltered first (see dim_join): only

@@ -241,9 +241,12 @@ GROUP BY o_orderkey ORDER BY revenue DESC, o_orderkey LIMIT 10
 def q5_nation_revenue(sf_dir, broadcast_limit=5_000_000):
     """Join strategy sized per table: ``nation`` is a bounded dim (25
     rows — plain broadcast merge into the customer scan); ``customer``
-    scales with SF, so the orders ⋈ customer hop routes through the
-    size-guarded ``ops.dim_join`` (broadcast under ``broadcast_limit``,
-    partitioned hash join above — test_q5_dim_join_fallback)."""
+    and ``orders`` scale with SF, so the orders ⋈ customer and the
+    lineitem ⋈ orders hops both route through the size-guarded
+    ``ops.dim_join`` (broadcast under ``broadcast_limit``, Bloom
+    prefilter + partitioned hash join above — test_dim_join_fallback).
+    The guards read parquet footer row counts, so no hop pays a count
+    barrier."""
     nation = ops.read_pandas(
         sf_dir, "nation", columns=["n_nationkey", "n_name"]
     ).rename(columns={"n_nationkey": "c_nationkey"})
@@ -288,14 +291,17 @@ def q5_nation_revenue(sf_dir, broadcast_limit=5_000_000):
         )
 
     li = li.map_batches(rev, batch_format="pandas")
-    joined = ops.hash_join(
+    n_orders = ops.table_rows(sf_dir, "orders")
+    joined = ops.dim_join(
         li,
         orders_n.select_columns(["o_orderkey", "n_name"]),
         on="l_orderkey",
         right_on="o_orderkey",
+        broadcast_limit=broadcast_limit,
         num_partitions=ops.join_partitions_for(
-            ops.table_rows(sf_dir, "lineitem") + ops.table_rows(sf_dir, "orders")
+            ops.table_rows(sf_dir, "lineitem") + n_orders
         ),
+        right_rows_bound=n_orders,
     )
     df = ops.preagg_sum_count_df(
         joined, ["n_name"], ["revenue_x10000"], count_alias="n_items"
@@ -672,19 +678,13 @@ def order_price_quantile_sketch(sf_dir):
 
 def customers_inactive_1995(sf_dir, broadcast_limit=50_000_000):
     """ANTI-join at the relational level (NOT EXISTS): customers with
-    zero orders inside a date window. The active-key set is built
-    DISTRIBUTED (per-batch distinct partials over the pruned, filtered
-    orders read → coarse-bucketed global distinct — never collected
-    before its size is known). At ≤ ``broadcast_limit`` keys it ships
-    once via ray.put (zero-copy plasma view per worker) and the
-    customer table is anti-filtered per batch with no all-to-all;
-    above the limit it stays a Dataset and flows through
-    ``ops.anti_join`` (partitioned left-outer + null-marker filter) —
-    both paths tested (test_inactive_anti_join_fallback)."""
-    import ray
-
-    from .dedup import _adaptive_coarse, _coarse_bucket
-
+    zero orders inside a date window. The active keys are the filtered
+    orders' customer keys, deduplicated per batch, and the anti filter
+    is ``ops.anti_join``'s size guard: at ≤ ``broadcast_limit`` rows
+    (bounded by the orders footer row count) the sorted distinct keys
+    ship once and each customer batch is filtered with no all-to-all;
+    above it the Bloom split + partitioned left-outer join runs — both
+    paths tested (test_inactive_anti_join_fallback)."""
     lo = np.datetime64("1995-01-01", "us")
     hi = np.datetime64("1996-01-01", "us")
     orders = ops.read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
@@ -694,48 +694,15 @@ def customers_inactive_1995(sf_dir, broadcast_limit=50_000_000):
         hit = b.loc[(ts >= lo) & (ts < hi), "o_custkey"]
         return pd.DataFrame({"o_custkey": hit.drop_duplicates().to_numpy()})
 
-    partial = orders.map_batches(
-        active_partial, batch_format="pandas"
-    ).materialize()  # pin pre-shuffle (see dedup.exact_dedup)
-    n_cb = _adaptive_coarse(partial.count(), per_group_target=200_000)
-    active = (
-        partial.map_batches(
-            lambda b, _n=n_cb: _coarse_bucket(b.copy(), "o_custkey", _n),
-            batch_format="pandas",
-        )
-        .groupby("__ub")
-        .map_groups(
-            lambda g: g.drop_duplicates("o_custkey")[["o_custkey"]],
-            batch_format="pandas",
-        )
-        .materialize()  # counted, then either collected or joined
-    )
     cust = ops.read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-
-    if active.count() > broadcast_limit:
-        out = ops.anti_join(
-            cust, active, on="c_custkey", right_on="o_custkey"
-        ).to_pandas()  # result-sized (the inactive tail)
-        return out.sort_values("c_custkey").reset_index(drop=True)
-
-    akeys = np.sort(active.to_pandas()["o_custkey"].to_numpy(dtype=np.int64))
-    aref = ray.put(akeys)
-
-    class Anti:
-        def __init__(self):
-            self.akeys = ray.get(aref)  # zero-copy plasma view
-
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            keys = b["c_custkey"].to_numpy(dtype=np.int64)
-            a = self.akeys
-            if len(a) == 0:
-                return b
-            idx = np.clip(np.searchsorted(a, keys), 0, len(a) - 1)
-            return b[a[idx] != keys]
-
-    out = cust.map_batches(
-        Anti, batch_format="pandas", batch_size=65536, concurrency=(1, 8)
-    ).to_pandas()
+    out = ops.anti_join(
+        cust,
+        orders.map_batches(active_partial, batch_format="pandas"),
+        on="c_custkey",
+        right_on="o_custkey",
+        broadcast_limit=broadcast_limit,
+        right_rows_bound=ops.table_rows(sf_dir, "orders"),
+    ).to_pandas()  # result-sized (the inactive tail)
     return out.sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -1910,7 +1877,7 @@ WHERE l_shipdate >= TIMESTAMP '1997-01-01'
 """
 
 
-def q22_idle_rich_customers(sf_dir):
+def q22_idle_rich_customers(sf_dir, broadcast_limit=5_000_000):
     """TPC-H Q22 shape — customers above the global average balance
     with no RECENT order (the synthetic corpus gives every customer at
     least one lifetime order, so the lapsed-since-2000 variant keeps
@@ -1918,9 +1885,10 @@ def q22_idle_rich_customers(sf_dir):
     threshold is computed in EXACT integer arithmetic (sum of cents ×
     count compare: ``cents·n > sum_cents`` ⇔ ``acctbal > avg``), so no
     float-boundary row can diverge from the oracle. The no-order test
-    is the Bloom-split ``ops.anti_join`` against the recent orders key
-    set — guaranteed-unmatched customers bypass the join shuffle
-    entirely."""
+    is the size-guarded ``ops.anti_join`` against the recent orders key
+    set: a broadcast key filter under ``broadcast_limit`` (bounded by
+    the orders footer row count), the Bloom split + partitioned
+    left-outer join above it (test_dim_join_fallback)."""
     cust = ops.read(
         sf_dir, "customer", columns=["c_custkey", "c_acctbal", "c_mktsegment"]
     )
@@ -1947,7 +1915,11 @@ def q22_idle_rich_customers(sf_dir):
         ],
         batch_format="pandas",
     )
-    idle = ops.anti_join(rich, okeys, on="c_custkey", right_on="o_custkey")
+    idle = ops.anti_join(
+        rich, okeys, on="c_custkey", right_on="o_custkey",
+        broadcast_limit=broadcast_limit,
+        right_rows_bound=ops.table_rows(sf_dir, "orders"),
+    )
 
     def seg_partial(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -2974,19 +2946,27 @@ def events_props_stats(sf_dir):
     ``json_extract_string($.k)`` semantics (ADVICE r4): the regex walks
     the object from ``^{``, consuming complete quoted strings (escape-
     aware, so ``"note": "\\"k\\": 5"`` cannot match) and complete
-    single-level nested ``{...}`` values (so ``{"a":{"k":1}}`` yields
-    NULL, like the oracle) before requiring a top-level ``"k"`` key.
+    nested ``{...}`` values (so ``{"a":{"k":1}}`` yields NULL, like the
+    oracle) before requiring a top-level ``"k"`` key.
     Residual contract, shared with the oracle: values are integer
     literals (the oracle's CAST AS BIGINT would itself error on
-    floats) and nesting depth ≤ 2 (a regex cannot count arbitrary
-    brace depth; the corpus is flat single-level objects)."""
+    floats). Exact depth bound (a regex cannot count arbitrary brace
+    depth): a value nested up to two objects deep —
+    ``{"a":{"b":{"c":1}},"k":5}`` — is skipped whole, so a top-level
+    ``"k"`` after it is found; a ``"k"`` after a value three objects
+    deep (``{"a":{"b":{"c":{"d":1}}},"k":5}``) is NOT found and reads
+    as NULL where the oracle reads 5 (test_events_props_depth_bound).
+    The corpus is flat single-level objects."""
     ev = ops.read(sf_dir, "events", columns=["event_type", "props"])
 
     # one complete JSON string literal, escape-aware
     _STR = r'"(?:[^"\\]|\\.)*"'
+    # one complete nested object up to two levels deep
+    _OBJ1 = rf'\{{(?:[^{{}}"]|{_STR})*\}}'
+    _OBJ2 = rf'\{{(?:[^{{}}"]|{_STR}|{_OBJ1})*\}}'
     # any top-level item that is NOT the key we want: plain chars,
-    # a string literal, or one complete single-level nested object
-    _ITEM = rf'(?:[^{{}}"]|{_STR}|\{{(?:[^{{}}"]|{_STR})*\}})'
+    # a string literal, or one complete nested object
+    _ITEM = rf'(?:[^{{}}"]|{_STR}|{_OBJ2})'
     _TOP_K = rf'^\{{{_ITEM}*?"k"\s*:\s*(-?\d+)(?![.\d])'
 
     def extract(b: pd.DataFrame) -> pd.DataFrame:

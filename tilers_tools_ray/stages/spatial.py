@@ -8,8 +8,9 @@ ray-casting PIP, with a kNN nearest-region fallback for near-misses at
 cutline edges (BASELINE.json:14).
 
 Shape: the coverage table is SMALL → ``ray.put`` once on the driver;
-each actor builds the CoverageIndex ONCE in ``__init__`` (T3) and every
-batch gets a vectorized assign. No shuffle anywhere in the join.
+each worker builds the CoverageIndex ONCE (``ops.worker_cached``, T3)
+and every batch gets a vectorized assign in a plain task. No shuffle
+and no actor pool anywhere in the join.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .. import codecs
 from .. import geometry as geo
 from .. import raster
 from .. import tilegrid as tg
+from ..relational import ops
 
 
 def centroids_merc(batch: pa.Table):
@@ -59,7 +61,7 @@ def coverage_index_from_table(coverage_tbl, level=7):
 
 
 class SpatialJoiner:
-    """Actor-pool map_batches: image rows → (image_id, region_id) rows.
+    """Per-batch callable: image rows → (image_id, region_id) rows.
 
     ``how``: 'inner' drops unmatched; 'left' keeps them with
     region_id=None; 'semi' returns matched input rows; 'anti' returns
@@ -67,12 +69,8 @@ class SpatialJoiner:
     fallback for points missing every polygon by ≤ ε (J3).
     """
 
-    def __init__(self, coverage_ref, level=7, knn_eps=None, how="inner"):
-        if not isinstance(coverage_ref, pa.Table):
-            import ray
-
-            coverage_ref = ray.get(coverage_ref)
-        self.index = coverage_index_from_table(coverage_ref, level=level)
+    def __init__(self, coverage_tbl, level=7, knn_eps=None, how="inner"):
+        self.index = coverage_index_from_table(coverage_tbl, level=level)
         self.knn_eps = knn_eps
         self.how = how
 
@@ -144,26 +142,21 @@ class NearestRegion:
         )
 
 
-def spatial_join(
-    images_ds, coverage_tbl, *, level=7, knn_eps=None, how="inner", concurrency=(1, 8)
-):
-    """images Dataset ⋈ coverage table (broadcast). Returns a Dataset."""
+def spatial_join(images_ds, coverage_tbl, *, level=7, knn_eps=None, how="inner"):
+    """images Dataset ⋈ coverage table (broadcast). Returns a Dataset.
+    Plain tasks fused with the image read; each worker builds the
+    :class:`SpatialJoiner` (its quadtree cell index) once through
+    ``ops.worker_cached``, so no actor pool is started."""
     import ray
 
     ref = ray.put(coverage_tbl)
-    return images_ds.map_batches(
-        SpatialJoiner,
-        fn_constructor_kwargs={
-            "coverage_ref": ref,
-            "level": level,
-            "knn_eps": knn_eps,
-            "how": how,
-        },
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
+
+    def join(batch: pa.Table) -> pa.Table:
+        return ops.worker_cached(
+            ref, lambda t: SpatialJoiner(t, level=level, knn_eps=knn_eps, how=how)
+        )(batch)
+
+    return images_ds.map_batches(join, batch_format="pyarrow", batch_size=2048)
 
 
 class ZonalStats:
