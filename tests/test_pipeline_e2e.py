@@ -281,6 +281,30 @@ def test_lanczos_downsample_kernel_math():
     assert not np.array_equal(lz, bx)
 
 
+def test_box_downsample_equals_mosaic_form():
+    """The per-quadrant box kernel equals the box filter of the 512×512
+    uint16 mosaic byte for byte, with 1, 2, 3 and 4 children present
+    (random pixels, and an all-255 child at the uint16 sum's top)."""
+    from tilers_tools_ray import raster
+
+    rng = np.random.default_rng(15)
+    quads = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for n in (1, 2, 3, 4):
+        for trial in range(3):
+            kids = {
+                quads[i]: rng.integers(0, 256, (256, 256, 4), dtype=np.uint8)
+                for i in rng.choice(4, size=n, replace=False)
+            }
+            if trial == 0:
+                kids[next(iter(kids))] = np.full((256, 256, 4), 255, np.uint8)
+            mosaic = np.zeros((512, 512, 4), np.uint16)
+            for (dx, dy), px in kids.items():
+                mosaic[dy * 256 : (dy + 1) * 256, dx * 256 : (dx + 1) * 256] = px
+            s = mosaic[0::2, 0::2] + mosaic[0::2, 1::2] + mosaic[1::2, 0::2] + mosaic[1::2, 1::2]
+            want = ((s + 2) >> 2).astype(np.uint8)
+            assert np.array_equal(raster.downsample_children(kids, "box"), want), (n, trial)
+
+
 def test_overview_resampling_lanczos(ray_session, tiny_corpus, tmp_path):
     """--overview-resampling lanczos end-to-end: every parent tile
     equals the 12-tap scaled Lanczos-3 reduction of its children."""

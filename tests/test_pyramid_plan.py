@@ -1,11 +1,12 @@
-"""write_pyramid's plan and recovery: stateless emitter tasks on 1- and
-2-CPU clusters, the recorded salt plan on resume, the base level's
-file exchange (no Ray shuffle, stale exchange files never read, a crash
-between emission and the first commit resumed exactly), and the
-overview cascade (one cascade down to z_min that reads each committed
-part file once and nothing else, anchors finer than the read level's
-parts, repair of a lost level, refusal of parts committed at another
-anchor)."""
+"""write_pyramid's plan and recovery: the input plan (contiguous row
+slices of similar size), stateless emitter tasks on 1- and 2-CPU
+clusters, the recorded salt plan on resume, the base level's file
+exchange (no Ray shuffle and no Ray Data job, stale exchange files never
+read, a crash between emission and the first commit resumed exactly),
+and the overview cascade (one cascade down to z_min that reads each
+committed part file once and nothing else, per-level manifest times,
+anchors finer than the read level's parts, repair of a lost level,
+refusal of parts committed at another anchor)."""
 
 import os
 import shutil
@@ -156,7 +157,7 @@ def test_resume_reuses_recorded_salt_plan(tiny_corpus, z_base, built, tmp_path, 
 
 def test_resume_of_one_lost_base_part(tiny_corpus, z_base, built, tmp_path):
     """A resume that lost one base part, where most emitter tasks prune
-    every fragment and return empty blocks, equals the single run."""
+    every fragment and return empty index tables, equals the single run."""
     out, summary, _ = built
     res = str(tmp_path / "one_lost")
     _crash_copy(out, res, z_base, z_base - SPAN, every=len(lineage.done_parts(out, z_base)))
@@ -347,9 +348,88 @@ def test_base_level_runs_no_shuffle(tiny_corpus, z_base, gold, built, tmp_path, 
     assert max(plan.values()) > 1
     tiles = pyramid.base_tiles(
         tiny_corpus["images"], z_base=z_base, salt_plan=plan,
-        n_zorder=pyramid._count_rows(tiny_corpus["images"]),
+        n_zorder=pyramid._image_units(tiny_corpus["images"])[1],
     )
     _assert_golden(tiles.to_pandas(), gold, z_base)
+
+
+def test_build_starts_no_ray_data_job(tiny_corpus, z_base, built, tmp_path, monkeypatch):
+    """A salted fresh write_pyramid and a resume after losing base parts
+    call no Ray Data read_parquet, from_items or map_batches (the census,
+    the emission, the reduces and the cascade all run as plain Ray
+    tasks), and both equal the single run level by level."""
+
+    def data_job(*a, **k):
+        raise AssertionError("the pyramid build started a Ray Data job")
+
+    out, res = str(tmp_path / "fresh"), str(tmp_path / "resumed")
+    with monkeypatch.context() as m:
+        m.setattr(rd, "read_parquet", data_job)
+        m.setattr(rd, "from_items", data_job)
+        m.setattr(rd.Dataset, "map_batches", data_job)
+        fresh = pyramid.write_pyramid(tiny_corpus["images"], out, z_min=z_base - SPAN, **SALT)
+        _crash_copy(out, res, z_base, z_base - SPAN)
+        again = pyramid.write_pyramid(tiny_corpus["images"], res, z_min=z_base - SPAN, **SALT)
+    assert _levels(fresh) == _levels(built[1])
+    assert _levels(again) == _levels(built[1])
+
+
+def test_image_units_are_contiguous_slices(ray_session, tmp_path):
+    """The input plan covers every row once and in input order, in at
+    most 4 units per CPU whose row counts differ by at most one, across
+    files and row groups of uneven sizes; each unit reads only its own
+    slices."""
+    d = tmp_path / "images"
+    d.mkdir()
+    ids, start = [], 0
+    for name, (n, group) in zip("abc", [(7, 3), (1, 1), (40, 25)]):
+        t = pa.table({"image_id": [f"i{start + i:03d}" for i in range(n)],
+                      "zorder": pa.array(range(start, start + n), pa.int32())})
+        pq.write_table(t, str(d / f"{name}.parquet"), row_group_size=group)
+        ids += t.column("image_id").to_pylist()
+        start += n
+    units, n_rows = pyramid._image_units(str(d))
+    assert n_rows == len(ids) == 48
+    assert len(units) == min(4 * pyramid._cluster_cpus(), n_rows)
+    sizes = [sum(hi - lo for *_, lo, hi in u) for u in units]
+    assert max(sizes) - min(sizes) <= 1
+    got = [t.column("image_id").to_pylist() for u in units for t in pyramid._unit_rows(u, ["image_id"])]
+    assert [i for g in got for i in g] == ids
+    few, n_few = pyramid._image_units(str(d / "b.parquet"))
+    assert (n_few, few) == (1, [[(str(d / "b.parquet"), 0, 0, 1)]])
+
+
+def test_cascade_manifests_time_each_level(z_base, built, tmp_path, monkeypatch):
+    """Each overview level's manifest ``wall_s`` is that level's own
+    work: with every parent reduce slowed by a fixed sleep, a level's
+    ``wall_s`` in the cascade of the largest anchor cell is at least its
+    tile count times the sleep, and stays below it plus a per-tile
+    allowance far smaller than the other levels' sleeps."""
+    import time
+
+    sleep, anchor = 0.03, z_base - SPAN
+    orig = pyramid.tiling.raster.reduce_parent_group
+
+    def slow(children, mode="box"):
+        time.sleep(sleep)
+        return orig(children, mode)
+
+    monkeypatch.setattr(pyramid.tiling.raster, "reduce_parent_group", slow)
+    out = str(tmp_path / "timed")
+    tiles = pyramid._with_part(
+        pa.concat_tables([pyramid._read_part(p) for p in _part_paths(built[0], z_base)]), anchor
+    )
+    cell = np.unique(tiles.column("part").to_numpy(), return_inverse=True)[1]
+    group = tiles.filter(pa.array(cell == np.bincount(cell).argmax()))
+    commit = pyramid._commit_group_fn(
+        out, lambda g: pyramid.tiling._cascade_levels(g, anchor, z_base, "box")
+    )
+    rows = commit(group).to_pandas().set_index("z")
+    assert sorted(rows.index) == list(range(anchor, z_base))
+    for z in range(anchor, z_base):
+        n = int(rows.loc[z, "n_tiles"])
+        wall = lineage.read_manifests(out, z)[int(group.column("part")[0].as_py())]["wall_s"]
+        assert n * sleep <= wall + 1e-3 <= n * sleep * 1.5 + 0.05, (z, n, wall)
 
 
 def test_stale_exchange_file_is_never_read(tiny_corpus, z_base, gold, built, tmp_path):

@@ -206,6 +206,8 @@ def test_lance_source_contract():
             pyramid.images_dataset("/tmp/nonexistent.lance")
         with pytest.raises(ImportError, match="parquet with the identical"):
             pyramid.auto_zoom("/tmp/nonexistent.lance")
+        with pytest.raises(ImportError, match="parquet with the identical"):
+            pyramid.census_parts("/tmp/nonexistent.lance", 10, 6)
 
 
 def test_image_quality_metrics(ray_session):

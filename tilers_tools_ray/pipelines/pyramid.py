@@ -1,15 +1,18 @@
 """The flagship pipeline: images table → tile pyramid (SURVEY.md §3.1).
 
-Engine equivalent of ``gdal_tiler.py``, with no shuffle anywhere: Ray
-Data scans for the census and the emission, plain Ray tasks for the
-per-unit reduces (``_run_units``):
+Engine equivalent of ``gdal_tiler.py``, with no shuffle and no Ray Data
+job anywhere: every stage runs as plain Ray tasks, one per unit of a
+driver-side plan (``_run_units``):
 
+  census (salted builds only): one task per input unit (``_image_units``)
+   → tiling.TouchedParts on the georef columns → (part, n) rows → driver
   base level (A1), through local exchange files under <out>/exchange/
-   read images (column-pruned)
-   → map_batches(FragmentEmitter) as stateless tasks  fan-out, M1/M4–M7
-   → map_batches(spill)                               fused into the
-        one part-sorted fragment file per batch,      emitter's task
-        one row group per (part, salt); returns index rows → driver
+   driver plan: the input's row groups (from the parquet footers) dealt
+     into contiguous units of similar row counts, ≤ 4 per CPU
+   → one task per unit reads its own rows (column-pruned), builds
+     FragmentEmitter once and feeds it batch_size-row slices  M1/M4–M7
+   → each slice's fragments spilled (_spill_fn) to one part-sorted file,
+     one row group per (part, salt); the task returns index rows → driver
    → driver plan: one unit per unsalted part, one per (part, salt) of a
      salted part (§4.2); each unit reads only its own row groups
         plain: composite_part_group → per-part atomic commit (§4.3)
@@ -21,7 +24,8 @@ per-unit reduces (``_run_units``):
      grouped by anchor cell: several whole parts per cell, or one part
      holding several cells
    → each unit reads its own part files, in a Ray task
-   → cascade_part_group builds levels z-1 … anchor per cell (A2)
+   → cascade levels z-1 … anchor built per cell (A2), each level
+     committed as soon as it is built
    → per-part atomic parquet commit + lineage row
 
 Anchor rule: the coarsest zoom ≥ z_min whose largest cell holds at most
@@ -64,6 +68,7 @@ import pyarrow.parquet as pq
 # time on the worker (ModuleNotFoundError under a path-less driver).
 from .. import raster
 from .. import tilegrid as tg
+from ..sources import lance_source
 from ..stages import tiling
 from ..state import lineage
 
@@ -90,6 +95,9 @@ OPTIONAL_COLUMNS = frozenset({"poly"})
 #: 4^6, the group a six-level cascade over a full cell holds
 CASCADE_MAX_TILES = 4**6
 
+#: images per FragmentEmitter call (and per spilled exchange file)
+EMIT_BATCH_SIZE = 16
+
 
 def _parquet_files(images_path):
     if os.path.isfile(images_path):
@@ -102,6 +110,8 @@ def _parquet_files(images_path):
 
 
 def _prune_optional(images_path, columns):
+    if lance_source.is_lance_uri(images_path):
+        return [c for c in columns if c not in OPTIONAL_COLUMNS]
     try:
         names = set(pq.read_schema(_parquet_files(images_path)[0]).names)
     except (OSError, IndexError):
@@ -112,19 +122,12 @@ def _prune_optional(images_path, columns):
 def images_dataset(images_path, columns=None, num_blocks=None):
     import ray.data as rd
 
-    from ..sources import lance_source
-
-    if lance_source.is_lance_uri(images_path):  # S9 native scan
-        return lance_source.read_lance(
-            images_path,
-            columns=[c for c in (columns or FRAG_COLUMNS)
-                     if c not in OPTIONAL_COLUMNS],
-            num_blocks=num_blocks,
-        )
     columns = _prune_optional(images_path, columns or FRAG_COLUMNS)
+    if lance_source.is_lance_uri(images_path):  # S9 native scan
+        return lance_source.read_lance(images_path, columns=columns, num_blocks=num_blocks)
     # block count sets downstream TASK granularity: ~4 blocks/CPU
-    # keeps the emitter tail short (per-image work is highly variable);
-    # a single big parquet otherwise reads as ONE task
+    # keeps a per-image stage's tail short (per-image work is highly
+    # variable); a single big parquet otherwise reads as ONE task
     return rd.read_parquet(
         images_path,
         columns=columns,
@@ -183,8 +186,6 @@ def auto_zoom(images_path, profile="mercator"):
     px)."""
     if isinstance(profile, tg.RasterGrid):
         return profile.z_base
-    from ..sources import lance_source
-
     columns = ["gt", "srs"]
     if lance_source.is_lance_uri(images_path):
         table = lance_source.read_lance_table(images_path, columns)
@@ -198,11 +199,47 @@ def auto_zoom(images_path, profile="mercator"):
     return int(tg.auto_base_zoom(min_res))
 
 
-def _count_rows(images_path):
-    """Total input rows (= zorder span) from parquet footers only."""
-    return sum(
-        pq.read_metadata(f).num_rows for f in _parquet_files(images_path)
-    )
+def _image_units(images_path):
+    """The input's plan: its pieces (parquet row groups, from the
+    footers; Lance fragments) dealt into contiguous units of similar row
+    counts, at most 4 per cluster CPU (the rule ``images_dataset`` uses:
+    per-image work varies widely, and smaller units keep the tail
+    short). A unit is a list of ``(path, piece, lo, hi)`` row slices; a
+    piece that straddles two units is read by both, so a plan costs at
+    most one extra piece read per unit. Returns ``(units, n_rows)``,
+    ``n_rows`` being the zorder span."""
+    if lance_source.is_lance_uri(images_path):
+        pieces = [(images_path, f, n) for f, n in lance_source.fragment_rows(images_path)]
+    else:
+        pieces = []
+        for path in _parquet_files(images_path):
+            meta = pq.read_metadata(path)
+            pieces += [(path, i, meta.row_group(i).num_rows) for i in range(meta.num_row_groups)]
+    n_rows = sum(n for *_, n in pieces)
+    k = min(4 * _cluster_cpus(), n_rows)
+    ends = [n_rows * (j + 1) // k for j in range(k)]
+    units, j, start = [[] for _ in range(k)], 0, 0
+    for path, piece, n in pieces:
+        lo = 0
+        while lo < n:
+            hi = min(n, ends[j] - start)
+            units[j].append((path, piece, lo, hi))
+            if start + hi == ends[j]:
+                j += 1
+            lo = hi
+        start += n
+    return units, n_rows
+
+
+def _unit_rows(unit, columns):
+    """A unit's rows (``columns`` only), in input order, one piece's
+    slice at a time, so a task holds one piece of its unit, not all."""
+    for path, i, lo, hi in unit:
+        if lance_source.is_lance_uri(path):
+            rows = lance_source.read_fragment(path, i, columns)
+        else:
+            rows = pq.ParquetFile(path).read_row_group(i, columns=columns)
+        yield rows.slice(lo, hi - lo)
 
 
 def default_z_part(z):
@@ -210,21 +247,23 @@ def default_z_part(z):
     return max(z - 4, 0)
 
 
-def census_parts(images_path, z_base, z_part, batch_size=512, profile="mercator"):
+def census_parts(images_path, z_base, z_part, profile="mercator"):
     """Georef-only census: fragments per part (upper bound — cutline
     drops are not modeled), as a (``part``, ``n``) frame sorted by part.
-    The tasks pre-aggregate per batch; the driver sums their few rows.
-    Feeds the salt plan (§4.2) and the skew report."""
-    ds = images_dataset(images_path, columns=["gt", "srs", "w", "h", "poly"])
-    parts = ds.map_batches(
-        tiling.TouchedParts(z_base, z_part, profile=profile),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    ).to_pandas()  # small: one row per (batch, part)
-    if parts.empty:
-        return pd.DataFrame({"part": [], "n": []}, dtype=np.int64)
-    part, cell = np.unique(parts["part"].to_numpy(np.int64), return_inverse=True)
-    n = np.bincount(cell, weights=parts["n"].to_numpy(np.int64))
+    One task per input unit pre-aggregates its rows; the driver sums
+    their few rows. Feeds the salt plan (§4.2) and the skew report."""
+    import ray
+
+    columns = _prune_optional(images_path, ["gt", "srs", "w", "h", "poly"])
+    touched = tiling.TouchedParts(z_base, z_part, profile=profile)
+    refs = _run_units(
+        _image_units(images_path)[0],
+        lambda u: touched(pa.concat_tables(list(_unit_rows(u, columns)))),
+    )
+    empty = pa.table({"part": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
+    parts = pa.concat_tables([empty] + ray.get(refs))  # one row per (unit, part)
+    part, cell = np.unique(parts.column("part").to_numpy(), return_inverse=True)
+    n = np.bincount(cell, weights=parts.column("n").to_numpy())
     return pd.DataFrame({"part": part, "n": n.astype(np.int64)})
 
 
@@ -252,29 +291,29 @@ def _recorded_salt_plan(out_dir, images_path, z_base, z_part, threshold, target,
     return plan
 
 
-def fragments_dataset(
+def _emit_units(
     images_path,
     z_base,
     z_part,
+    sink=None,
     *,
     resampling="nearest",
     salt_plan=None,
     n_zorder=1,
     done_parts=None,
-    batch_size=32,
+    batch_size=EMIT_BATCH_SIZE,
     profile="mercator",
     on_bad="raise",
 ):
-    """images → fragment rows (the pre-shuffle fan-out stage).
-
-    The emitter runs as stateless 1-CPU tasks, not an actor pool: its
-    only state is two small broadcasts, Ray Data fuses the tasks with
-    the parquet read and with the spill stage ``_base_level`` appends,
-    and no task holds a CPU once its blocks are done (a fixed actor pool
-    held CPUs ahead of the reduce stage and deadlocked 1–2 CPU
-    clusters). The per-task cache builds the emitter once per task, not
-    once per batch. Under ``on_bad="skip"`` a skipped image leaves one
-    ``tiling.SKIPPED_PART`` row."""
+    """The emission: one plain Ray task per input unit
+    (``_image_units``). A task builds the FragmentEmitter once, reads its
+    own rows a piece at a time, feeds the emitter slices of at most
+    ``batch_size`` rows of each piece and passes each slice's fragments
+    through ``sink`` (default: kept as they are); it returns the
+    concatenated sink outputs. The emitter's only state
+    is two broadcasts, and no task holds a CPU once its unit is done (a
+    fixed actor pool held CPUs ahead of the reduces and deadlocked 1–2
+    CPU clusters). Returns the object refs of the result tables."""
     import ray
 
     ctor_kwargs = {
@@ -287,17 +326,44 @@ def fragments_dataset(
         "profile": profile,
         "on_bad": on_bad,
     }
-    _state = {}
+    columns = _prune_optional(images_path, FRAG_COLUMNS)
+    sink = sink or (lambda frags: frags)
 
-    def emit(batch):
-        em = _state.get("em")
-        if em is None:
-            em = _state["em"] = tiling.FragmentEmitter(**ctor_kwargs)
-        return em(batch)
+    def emit(unit):
+        em = tiling.FragmentEmitter(**ctor_kwargs)
+        return pa.concat_tables([
+            sink(em(rows.slice(a, batch_size)))
+            for rows in _unit_rows(unit, columns)
+            for a in range(0, rows.num_rows, batch_size)
+        ])
 
-    return images_dataset(images_path).map_batches(
-        emit, batch_format="pyarrow", batch_size=batch_size, num_cpus=1
-    )
+    return _run_units(_image_units(images_path)[0], emit)
+
+
+def fragments_dataset(
+    images_path,
+    z_base,
+    z_part,
+    *,
+    resampling="nearest",
+    salt_plan=None,
+    n_zorder=1,
+    done_parts=None,
+    batch_size=EMIT_BATCH_SIZE,
+    profile="mercator",
+    on_bad="raise",
+):
+    """images → fragment rows: the emission ``write_pyramid`` runs
+    (``_emit_units``), without the spill, as a materialized Dataset of
+    ``tiling.FRAGMENT_SCHEMA`` tables. Under ``on_bad="skip"`` a skipped
+    image leaves one ``tiling.SKIPPED_PART`` row."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(_emit_units(
+        images_path, z_base, z_part, resampling=resampling, salt_plan=salt_plan,
+        n_zorder=n_zorder, done_parts=done_parts, batch_size=batch_size,
+        profile=profile, on_bad=on_bad,
+    ))
 
 
 def base_tiles(
@@ -308,7 +374,7 @@ def base_tiles(
     resampling="nearest",
     salt_plan=None,
     n_zorder=1,
-    batch_size=16,
+    batch_size=EMIT_BATCH_SIZE,
     profile="mercator",
 ):
     """Pure (no side effects) base-tile Dataset — tests / entry(). The
@@ -459,7 +525,7 @@ def _record_skipped(out_dir, skipped):
 
 
 def _run_units(units, fn):
-    """``fn`` (unit dict → table) once per unit, one plain Ray task
+    """``fn`` (unit → table) once per unit, one plain Ray task
     each, not a Ray Data job: on a 4-CPU session a Ray Data task per
     unit cost ~25 ms of scheduling each, more than most units' work, and
     its executor ran only two such tasks at a time under a 768 MB object
@@ -484,7 +550,7 @@ def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
                 salt_plan=None, **emit_kwargs):
     """The base level with no shuffle (A1, §4.2): emit + spill into
     ``exchange``, then one reduce per unit reading its own row groups,
-    then one merge per salted part (both through ``_run_units``). With
+    then one merge per salted part (all through ``_run_units``). With
     ``commit_dir`` every part is committed there, the result holds one
     ``COMMIT_SCHEMA`` row per part, and the images the emitter skipped
     are recorded; without, the result is the tile rows. Returns the
@@ -495,14 +561,12 @@ def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
     os.makedirs(exchange)
     # small: one row per (batch, part, salt). Kept in Arrow: a pandas
     # frame would turn the int64 part ids into float64 (53-bit) as soon
-    # as a skipped image's row carries a null part. A block whose
-    # emitter pruned every fragment (a resume) has no columns
-    blocks = ray.get(
-        fragments_dataset(images_path, z_base, z_part, salt_plan=salt_plan, **emit_kwargs)
-        .map_batches(_spill_fn(exchange), batch_format="pyarrow", batch_size=None, num_cpus=1)
-        .to_arrow_refs()
+    # as a skipped image's row carries a null part
+    index = pa.concat_tables(
+        [INDEX_SCHEMA.empty_table()]
+        + ray.get(_emit_units(images_path, z_base, z_part, _spill_fn(exchange),
+                              salt_plan=salt_plan, **emit_kwargs))
     )
-    index = pa.concat_tables([INDEX_SCHEMA.empty_table()] + [b for b in blocks if b.num_rows])
     bad = pc.is_null(index.column("path"))
     if commit_dir is None:
         finish, empty = (lambda fn: fn), tiling.TILE_SCHEMA.empty_table()
@@ -512,7 +576,7 @@ def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
             commit_dir,
             dict(zip(skipped.column("image_id").to_pylist(), skipped.column("reason").to_pylist())),
         )
-        finish = lambda fn: _commit_group_fn(commit_dir, lambda g: {z_base: fn(g)})
+        finish = lambda fn: _commit_group_fn(commit_dir, lambda g: [(z_base, fn(g))])
         empty = COMMIT_SCHEMA.empty_table()
     composite = finish(tiling.composite_part_group)
     merge = finish(tiling.merge_partials_group)
@@ -567,18 +631,18 @@ COMMIT_SCHEMA = pa.schema(
 
 
 def _commit_group_fn(out_dir, reduce_fn):
-    """Wrap a part reduce returning {z: tile rows} into a commit-to-disk
-    fn returning one lineage row per level. Runs inside the reduce task
-    → per-partition atomic checkpoint (§4.3)."""
+    """Wrap a part reduce yielding ``(z, tile rows)`` pairs into a
+    commit-to-disk fn returning one lineage row per level. Runs inside
+    the reduce task → per-partition atomic checkpoint (§4.3)."""
 
     def commit(group: pa.Table) -> pa.Table:
         t0 = time.monotonic()
         part = int(group.column("part")[0].as_py())
         rows = {"z": [], "part": [], "n_tiles": [], "checksum_xor": []}
-        for z, tbl in reduce_fn(group).items():
-            # per-level INCREMENT (resetting t0 per commit) — a shared
-            # t0 would make every cascade level's wall_s report the
-            # whole cascade compute, multiply-counting it in rollups
+        for z, tbl in reduce_fn(group):
+            # the pairs are consumed lazily and t0 is reset per level, so
+            # a level's wall_s is its own build plus the commit of the
+            # level before it, never the whole cascade's compute
             manifest = _part_manifest(z, part, tbl, t0)
             t0 = time.monotonic()
             lineage.commit_part(out_dir, z, part, tbl, manifest)
@@ -722,7 +786,7 @@ def _write_cascade(out_dir, z_read, anchor, manifests, overview_resampling):
     done_arr = np.array(sorted(done), dtype=np.int64)
     commit = _commit_group_fn(
         out_dir,
-        lambda g: tiling.cascade_part_group(g, anchor, z_read, overview_resampling),
+        lambda g: tiling._cascade_levels(g, anchor, z_read, overview_resampling),
     )
 
     def run(unit):
@@ -748,7 +812,7 @@ def write_pyramid(
     salt="auto",
     salt_threshold=1000,
     salt_target=400,
-    batch_size=16,
+    batch_size=EMIT_BATCH_SIZE,
     profile="mercator",
     overview_resampling="box",
     on_bad_image="raise",
@@ -804,7 +868,7 @@ def write_pyramid(
                 out_dir, images_path, z_base, z_part, salt_threshold,
                 salt_target, profile,
             )
-            n_zorder = _count_rows(images_path)
+            n_zorder = _image_units(images_path)[1]
         elif isinstance(salt, dict):
             salt_plan = salt
         refs = _base_level(

@@ -582,8 +582,8 @@ def composite_fragments(frags):
 def downsample_children(children, mode="box"):
     """children: dict {(dx, dy) in {0,1}²: 256×256×4 uint8} → parent tile.
 
-    ``box`` (default): assemble the 512×512 mosaic (missing quadrants
-    transparent) and box-filter 2×2 → 256×256, channels averaged with
+    ``box`` (default): the 2×2 box filter of the 512×512 mosaic
+    (missing quadrants transparent) → 256×256, channels averaged with
     round-half-up — the deterministic equivalent of the reference's
     antialias ×2 shrink for the exact-factor-2 case [C semantics].
     ``nearest``: top-left child pixel of each 2×2 (the reference's
@@ -638,16 +638,20 @@ def downsample_children(children, mode="box"):
         return np.clip(np.floor(cols + 0.5), 0, 255).astype(np.uint8)
     if mode != "box":
         raise ValueError(f"unknown overview resampling {mode!r}")
-    mosaic = np.zeros((2 * TILE, 2 * TILE, 4), dtype=np.uint16)
+    # each present child boxes down to its own quadrant (a uint16 sum of
+    # its row pairs, then of the column pairs); a missing quadrant stays
+    # 0, what (0 + 2) >> 2 gives
+    half = TILE // 2
+    out = np.zeros((TILE, TILE, 4), dtype=np.uint8)
     for (dx, dy), px in children.items():
-        mosaic[dy * TILE : (dy + 1) * TILE, dx * TILE : (dx + 1) * TILE] = px
-    s = (
-        mosaic[0::2, 0::2]
-        + mosaic[0::2, 1::2]
-        + mosaic[1::2, 0::2]
-        + mosaic[1::2, 1::2]
-    )
-    return ((s + 2) >> 2).astype(np.uint8)
+        rows = px[0::2].astype(np.uint16)
+        rows += px[1::2]
+        rows = rows.reshape(half, half, 2, 4)
+        s = rows[:, :, 0] + rows[:, :, 1]
+        s += 2
+        s >>= 2
+        out[dy * half : (dy + 1) * half, dx * half : (dx + 1) * half] = s
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,19 @@ def read_lance_table(uri, columns):
     return _require_lance().dataset(uri).to_table(columns=columns)
 
 
+def fragment_rows(uri):
+    """``[(fragment_id, n_rows)]`` of a Lance dataset, in dataset order
+    (the pieces ``pyramid._image_units`` deals into units)."""
+    ds = _require_lance().dataset(uri)
+    return [(f.fragment_id, f.count_rows()) for f in ds.get_fragments()]
+
+
+def read_fragment(uri, fragment_id, columns):
+    """One fragment of a Lance dataset, column-pruned, as a Table."""
+    ds = _require_lance().dataset(uri)
+    return ds.get_fragment(fragment_id).to_table(columns=columns)
+
+
 def read_lance(uri, columns=None, num_blocks=None):
     """Open a Lance dataset as a Ray Dataset (column-pruned scan)."""
     _require_lance()

@@ -116,8 +116,9 @@ def _maybe_get(ref):
 
 
 class FragmentEmitter:
-    """Decode (M1) + warp-cut (M4–M7) stage (T1/T2), run as stateless
-    tasks (``pyramid.fragments_dataset``).
+    """Decode (M1) + warp-cut (M4–M7) stage (T1/T2), built once in each
+    plain Ray task of the emission (``pyramid._emit_units``, one task per
+    input unit) and called on the unit's rows in batch-size slices.
 
     State built once per task: broadcast salt plan + done-part set
     (``ray.put`` ObjectRefs resolved in __init__, never per batch).
@@ -448,10 +449,17 @@ def cascade_part_group(group: pa.Table, z_min: int, z_base: int, mode="box"):
     shuffle per level with one local build per cell for all levels — the
     per-level groupby chain was pure fixed overhead at cluster scale.
 
-    Returns {z: tile-rows pa.Table}. Group size is bounded by the
-    caller's anchor rule (``pyramid.CASCADE_MAX_TILES``). The group's
-    own tiles stay packed until their parent is reduced, so only one
-    level of unpacked pixels is held at a time."""
+    Returns {z: tile-rows pa.Table}, every level built. Group size is
+    bounded by the caller's anchor rule (``pyramid.CASCADE_MAX_TILES``)."""
+    return dict(_cascade_levels(group, z_min, z_base, mode))
+
+
+def _cascade_levels(group: pa.Table, z_min: int, z_base: int, mode="box"):
+    """``cascade_part_group`` as a generator of ``(z, tile rows)``, one
+    level at a time from z_base-1 down to z_min, so a caller can commit
+    (and time) each level before the next is built. The group's own
+    tiles stay packed until their parent is reduced, so only one level
+    of unpacked pixels is held at a time."""
     part = int(group.column("part")[0].as_py())
     level = {}
     caps = group.column("caption").to_pylist()
@@ -460,7 +468,6 @@ def cascade_part_group(group: pa.Table, z_min: int, z_base: int, mode="box"):
     for i, k in enumerate(group.column("tile_key").to_pylist()):
         level[k] = (pix[i], caps[i], list(srcs[i]))
     packed = True
-    out = {}
     for z in range(z_base - 1, z_min - 1, -1):
         parents = {}
         for k, val in level.items():
@@ -473,10 +480,9 @@ def cascade_part_group(group: pa.Table, z_min: int, z_base: int, mode="box"):
                 ch = {d: (_np_frag(v[0]), v[1], v[2]) for d, v in ch.items()}
             level[pk] = raster.reduce_parent_group(ch, mode)
         packed = False
-        out[z] = _tile_rows(
+        yield z, _tile_rows(
             [(part, pk, v[0], v[1], v[2]) for pk, v in sorted(level.items())]
         )
-    return out
 
 
 # ---------------------------------------------------------------------------
