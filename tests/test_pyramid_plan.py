@@ -374,11 +374,11 @@ def test_build_starts_no_ray_data_job(tiny_corpus, z_base, built, tmp_path, monk
     assert _levels(again) == _levels(built[1])
 
 
-def test_image_units_are_contiguous_slices(ray_session, tmp_path):
-    """The input plan covers every row once and in input order, in at
-    most 4 units per CPU whose row counts differ by at most one, across
-    files and row groups of uneven sizes; each unit reads only its own
-    slices."""
+def test_image_units_deal_whole_row_groups(ray_session, tmp_path, monkeypatch):
+    """The input plan deals whole row groups, in input order, into at
+    most ``min(4 × CPUs, row groups)`` units, starting a unit where a
+    row group's middle row passes the previous unit's share of the rows;
+    each unit reads only its own row groups, each once."""
     d = tmp_path / "images"
     d.mkdir()
     ids, start = [], 0
@@ -388,15 +388,18 @@ def test_image_units_are_contiguous_slices(ray_session, tmp_path):
         pq.write_table(t, str(d / f"{name}.parquet"), row_group_size=group)
         ids += t.column("image_id").to_pylist()
         start += n
+    a, b, c = (str(d / f"{x}.parquet") for x in "abc")
+    monkeypatch.setattr(pyramid, "_cluster_cpus", lambda: 1)
     units, n_rows = pyramid._image_units(str(d))
     assert n_rows == len(ids) == 48
-    assert len(units) == min(4 * pyramid._cluster_cpus(), n_rows)
-    sizes = [sum(hi - lo for *_, lo, hi in u) for u in units]
-    assert max(sizes) - min(sizes) <= 1
+    # row groups of 3, 3, 1 | 1 | 25 | 15 rows; shares of 12 rows
+    assert units == [[(a, 0), (a, 1), (a, 2), (b, 0)], [(c, 0)], [(c, 1)]]
     got = [t.column("image_id").to_pylist() for u in units for t in pyramid._unit_rows(u, ["image_id"])]
     assert [i for g in got for i in g] == ids
-    few, n_few = pyramid._image_units(str(d / "b.parquet"))
-    assert (n_few, few) == (1, [[(str(d / "b.parquet"), 0, 0, 1)]])
+    monkeypatch.setattr(pyramid, "_cluster_cpus", lambda: 4)
+    assert pyramid._image_units(str(d)) == (units, 48)  # no row group is split
+    assert pyramid._image_units(a) == ([[(a, 0)], [(a, 1)], [(a, 2)]], 7)
+    assert pyramid._image_units(b) == ([[(b, 0)]], 1)
 
 
 def test_cascade_manifests_time_each_level(z_base, built, tmp_path, monkeypatch):

@@ -7,9 +7,9 @@ driver-side plan (``_run_units``):
   census (salted builds only): one task per input unit (``_image_units``)
    → tiling.TouchedParts on the georef columns → (part, n) rows → driver
   base level (A1), through local exchange files under <out>/exchange/
-   driver plan: the input's row groups (from the parquet footers) dealt
-     into contiguous units of similar row counts, ≤ 4 per CPU
-   → one task per unit reads its own rows (column-pruned), builds
+   driver plan: the input's whole row groups (from the parquet footers)
+     dealt in order into units of similar row counts, ≤ 4 per CPU
+   → one task per unit reads its own row groups (column-pruned), builds
      FragmentEmitter once and feeds it batch_size-row slices  M1/M4–M7
    → each slice's fragments spilled (_spill_fn) to one part-sorted file,
      one row group per (part, salt); the task returns index rows → driver
@@ -201,13 +201,12 @@ def auto_zoom(images_path, profile="mercator"):
 
 def _image_units(images_path):
     """The input's plan: its pieces (parquet row groups, from the
-    footers; Lance fragments) dealt into contiguous units of similar row
-    counts, at most 4 per cluster CPU (the rule ``images_dataset`` uses:
-    per-image work varies widely, and smaller units keep the tail
-    short). A unit is a list of ``(path, piece, lo, hi)`` row slices; a
-    piece that straddles two units is read by both, so a plan costs at
-    most one extra piece read per unit. Returns ``(units, n_rows)``,
-    ``n_rows`` being the zorder span."""
+    footers; Lance fragments), whole, dealt in order into at most
+    ``min(4 × cluster CPUs, pieces)`` units of similar row counts (the
+    rule ``images_dataset`` uses: per-image work varies widely, and
+    smaller units keep the tail short). A piece is never split, so each
+    is read once. A unit is a list of ``(path, piece)`` pairs. Returns
+    ``(units, n_rows)``, ``n_rows`` being the zorder span."""
     if lance_source.is_lance_uri(images_path):
         pieces = [(images_path, f, n) for f, n in lance_source.fragment_rows(images_path)]
     else:
@@ -215,31 +214,28 @@ def _image_units(images_path):
         for path in _parquet_files(images_path):
             meta = pq.read_metadata(path)
             pieces += [(path, i, meta.row_group(i).num_rows) for i in range(meta.num_row_groups)]
+    pieces = [p for p in pieces if p[2]]
     n_rows = sum(n for *_, n in pieces)
-    k = min(4 * _cluster_cpus(), n_rows)
-    ends = [n_rows * (j + 1) // k for j in range(k)]
-    units, j, start = [[] for _ in range(k)], 0, 0
+    k = min(4 * _cluster_cpus(), len(pieces))
+    units, dealt = [], 0
     for path, piece, n in pieces:
-        lo = 0
-        while lo < n:
-            hi = min(n, ends[j] - start)
-            units[j].append((path, piece, lo, hi))
-            if start + hi == ends[j]:
-                j += 1
-            lo = hi
-        start += n
+        # a new unit when the piece's middle row lies past the current
+        # unit's share of the rows
+        if not units or (len(units) < k and (2 * dealt + n) * k > 2 * n_rows * len(units)):
+            units.append([])
+        units[-1].append((path, piece))
+        dealt += n
     return units, n_rows
 
 
 def _unit_rows(unit, columns):
-    """A unit's rows (``columns`` only), in input order, one piece's
-    slice at a time, so a task holds one piece of its unit, not all."""
-    for path, i, lo, hi in unit:
+    """A unit's rows (``columns`` only), in input order, one whole piece
+    at a time, so a task holds one piece of its unit, not all."""
+    for path, i in unit:
         if lance_source.is_lance_uri(path):
-            rows = lance_source.read_fragment(path, i, columns)
+            yield lance_source.read_fragment(path, i, columns)
         else:
-            rows = pq.ParquetFile(path).read_row_group(i, columns=columns)
-        yield rows.slice(lo, hi - lo)
+            yield pq.ParquetFile(path).read_row_group(i, columns=columns)
 
 
 def default_z_part(z):
@@ -304,13 +300,14 @@ def _emit_units(
     batch_size=EMIT_BATCH_SIZE,
     profile="mercator",
     on_bad="raise",
+    units=None,
 ):
-    """The emission: one plain Ray task per input unit
-    (``_image_units``). A task builds the FragmentEmitter once, reads its
-    own rows a piece at a time, feeds the emitter slices of at most
-    ``batch_size`` rows of each piece and passes each slice's fragments
-    through ``sink`` (default: kept as they are); it returns the
-    concatenated sink outputs. The emitter's only state
+    """The emission: one plain Ray task per input unit (``units``, by
+    default ``_image_units``'s plan). A task builds the FragmentEmitter
+    once, reads its own pieces one at a time, feeds the emitter slices of
+    at most ``batch_size`` rows of each piece and passes each slice's
+    fragments through ``sink`` (default: kept as they are); it returns
+    the concatenated sink outputs. The emitter's only state
     is two broadcasts, and no task holds a CPU once its unit is done (a
     fixed actor pool held CPUs ahead of the reduces and deadlocked 1–2
     CPU clusters). Returns the object refs of the result tables."""
@@ -337,7 +334,7 @@ def _emit_units(
             for a in range(0, rows.num_rows, batch_size)
         ])
 
-    return _run_units(_image_units(images_path)[0], emit)
+    return _run_units(_image_units(images_path)[0] if units is None else units, emit)
 
 
 def fragments_dataset(
@@ -849,6 +846,7 @@ def write_pyramid(
         done = lineage.done_parts(out_dir, z_base)
         salt_plan = None
         n_zorder = 1
+        units, n_rows = _image_units(images_path)
         # The salted partial-composite-then-merge path is byte-exact
         # only for NEAREST resampling (binary fragment alpha makes the
         # composite associative); bilinear/bicubic fragments carry
@@ -868,7 +866,7 @@ def write_pyramid(
                 out_dir, images_path, z_base, z_part, salt_threshold,
                 salt_target, profile,
             )
-            n_zorder = _image_units(images_path)[1]
+            n_zorder = n_rows
         elif isinstance(salt, dict):
             salt_plan = salt
         refs = _base_level(
@@ -884,6 +882,7 @@ def write_pyramid(
             batch_size=batch_size,
             profile=profile,
             on_bad=on_bad_image,
+            units=units,
         )
         _mark_levels(out_dir, [z_base], _commit_rows(refs), len(done))
     shutil.rmtree(exchange, ignore_errors=True)
