@@ -183,6 +183,8 @@ def run_bench(sf_dir, num_cpus):
 
     import ray.data as rd
 
+    from tilers_tools_ray.scan import Scan
+
     timings = {}
     skip_queries = os.environ.get("TTR_SKIP_QUERIES") == "1"
     if not skip_queries:
@@ -194,8 +196,8 @@ def run_bench(sf_dir, num_cpus):
     for name in [] if skip_queries else BENCH_QUERIES:
         t0 = time.monotonic()
         res = q.QUERIES[name](sf_dir)
-        if isinstance(res, rd.Dataset):
-            res.count()  # consume lazily-returned datasets
+        if isinstance(res, (rd.Dataset, Scan)):
+            res.count()  # consume lazily-returned datasets and scans
         timings[name] = round(time.monotonic() - t0, 3)
 
     result = {

@@ -17,7 +17,9 @@ def _to_pandas(res):
     import pyarrow as pa
     import ray.data as rd
 
-    if isinstance(res, rd.Dataset):
+    from tilers_tools_ray.scan import Scan
+
+    if isinstance(res, (rd.Dataset, Scan)):
         return res.to_pandas()
     if isinstance(res, pa.Table):
         return res.to_pandas()
@@ -667,11 +669,7 @@ def test_swept_shapes_start_no_actors(registry, monkeypatch):
     no Ray native join (``Dataset.join`` starts one hash-shuffle
     aggregator actor per partition). Each result still equals its
     DuckDB oracle, or golden for the spatial join."""
-    import pyarrow.parquet as pq
     import ray.data as rd
-
-    from tilers_tools_ray import golden
-    from tilers_tools_ray.relational import queries as Q
 
     real_map_batches = rd.Dataset.map_batches
 
@@ -687,22 +685,130 @@ def test_swept_shapes_start_no_actors(registry, monkeypatch):
     monkeypatch.setattr(rd.Dataset, "map_batches", map_batches)
     qs, oracles = registry
     for name in _NO_ACTOR_QUERIES:
-        got = _to_pandas(qs[name](SF))
-        if name in oracles:
-            pd.testing.assert_frame_equal(
-                _normalize(got), _normalize(_duck(oracles[name])),
-                check_dtype=False,
-            )
-            continue
-        paths = Q._corpus_for(SF)
-        want = {}
-        for _, region in golden.spatial_join(
-            pq.read_table(paths["images"]),
-            pq.read_table(paths["coverage"]),
-            knn_eps=5e4,
-        ):
-            want[region] = want.get(region, 0) + 1
-        assert dict(zip(got["region_id"], got["n_images"])) == want, name
+        _assert_oracle_equal(name, _to_pandas(qs[name](SF)), oracles)
+
+
+def _assert_oracle_equal(name, got, oracles):
+    """``got`` equals the DuckDB oracle of ``name``, or golden's
+    per-region counts for the spatial join."""
+    import pyarrow.parquet as pq
+
+    from tilers_tools_ray import golden
+    from tilers_tools_ray.relational import queries as Q
+
+    if name in oracles:
+        pd.testing.assert_frame_equal(
+            _normalize(got), _normalize(_duck(oracles[name])),
+            check_dtype=False,
+        )
+        return
+    paths = Q._corpus_for(SF)
+    want = {}
+    for _, region in golden.spatial_join(
+        pq.read_table(paths["images"]),
+        pq.read_table(paths["coverage"]),
+        knn_eps=5e4,
+    ):
+        want[region] = want.get(region, 0) + 1
+    assert dict(zip(got["region_id"], got["n_images"])) == want, name
+
+
+#: swept queries whose every step is a scan, a per-batch map, a
+#: broadcast lookup and a collect to the driver
+_NARROW_QUERIES = (
+    "q1_pricing_summary",
+    "q5_nation_revenue",
+    "q9_product_profit",
+    "q22_idle_rich_customers",
+    "doc_top_terms",
+    "benchmark_contamination",
+    "ngram_decontamination",
+    "nation_segment_cube",
+    "spatial_join_images",
+)
+
+
+def test_narrow_queries_start_no_ray_data_job(registry, monkeypatch):
+    """A query that only scans, maps per batch and collects runs as
+    plain tasks (``ops.read`` / ``pyramid.images_dataset`` scans): with
+    Ray Data's streaming executor patched to raise, each result still
+    equals its DuckDB oracle, or golden for the spatial join."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    def no_job(self, *args, **kwargs):
+        raise AssertionError("a Ray Data job was started")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", no_job)
+    qs, oracles = registry
+    for name in _NARROW_QUERIES:
+        _assert_oracle_equal(name, _to_pandas(qs[name](SF)), oracles)
+
+
+#: the all-pairs form of NGRAM_JACCARD_SQL (same shingles, every pair
+#: compared with list_intersect): the reference its equi-join form must
+#: equal
+_NGRAM_JACCARD_ALL_PAIRS = r"""
+WITH tok AS (
+  SELECT doc_id,
+         list_filter(regexp_split_to_array(lower(text), '\s+'),
+                     x -> x <> '') AS toks
+  FROM documents
+), t AS (
+  SELECT doc_id,
+         list_distinct(
+           CASE WHEN len(toks) < 3 THEN [array_to_string(toks, ' ')]
+                ELSE list_transform(range(len(toks) - 2),
+                                    i -> toks[i+1] || ' ' || toks[i+2]
+                                         || ' ' || toks[i+3])
+           END) AS sh
+  FROM tok
+)
+SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+       round(CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
+             / len(list_distinct(a.sh || b.sh)), 6) AS jaccard
+FROM t a JOIN t b ON a.doc_id < b.doc_id
+WHERE CAST(len(list_intersect(a.sh, b.sh)) AS DOUBLE)
+      / len(list_distinct(a.sh || b.sh)) >= 0.6
+ORDER BY doc_a, doc_b
+"""
+
+
+def test_ngram_jaccard_oracle_equals_all_pairs(tmp_path):
+    """The shingle equi-join oracle returns the all-pairs rows on the
+    sf0.001 documents and on planted ones: empty and NULL texts (no
+    shingle: DuckDB joins no tokens to NULL, so they pair with
+    nothing), texts under 3 tokens, case and whitespace variants,
+    verbatim duplicates, a pair at exactly 0.6 (3 shared of 5) and one
+    just under it (3 of 6)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from tilers_tools_ray.relational import queries as Q
+
+    texts = [
+        "", "   ", None, "a b", "A  b", "x y", "x y z",
+        "p q r s t", "p q r s t u v", "p q r s t u v w",
+        "the cat sat on the mat today", "the cat sat on the mat today",
+        "The Cat sat  on the mat", "one two three",
+    ]
+    planted = str(tmp_path / "documents.parquet")
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts, pa.string())}),
+        planted,
+    )
+    for path in (f"{SF}/documents.parquet", planted):
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{path}')")
+        got = con.execute(Q.NGRAM_JACCARD_SQL).df()
+        want = con.execute(_NGRAM_JACCARD_ALL_PAIRS).df()
+        pd.testing.assert_frame_equal(got, want)
+        assert len(got)
+    pairs = dict(zip(zip(got["doc_a"], got["doc_b"]), got["jaccard"]))
+    assert not {0, 1, 2} & {d for pair in pairs for d in pair}
+    assert pairs[(3, 4)] == 1.0  # 'a b' / 'A  b': one shingle each
+    assert pairs[(7, 8)] == 0.6 and (7, 9) not in pairs
+    assert pairs[(10, 11)] == 1.0
 
 
 def test_events_props_depth_bound(ray_session, tmp_path):

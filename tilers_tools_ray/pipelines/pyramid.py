@@ -47,6 +47,7 @@ removed once the base level is marked complete.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import shutil
@@ -68,6 +69,7 @@ import pyarrow.parquet as pq
 # time on the worker (ModuleNotFoundError under a path-less driver).
 from .. import raster
 from .. import tilegrid as tg
+from ..scan import Scan, _run_units
 from ..sources import lance_source
 from ..stages import tiling
 from ..state import lineage
@@ -120,19 +122,28 @@ def _prune_optional(images_path, columns):
 
 
 def images_dataset(images_path, columns=None, num_blocks=None):
+    """A lazy plain-task scan (``scan.Scan``) of the images table: one
+    task per ``_image_units`` unit (whole row groups or Lance fragments,
+    never split, so image bytes are read once). Its Ray Data plan, for
+    any wide step or actor pool, is the native read with ``num_blocks``
+    blocks (default ~4 per CPU: per-image work is highly variable, so
+    small blocks keep a stage's tail short)."""
     import ray.data as rd
 
     columns = _prune_optional(images_path, columns or FRAG_COLUMNS)
+    units, n_rows = _image_units(images_path)
     if lance_source.is_lance_uri(images_path):  # S9 native scan
-        return lance_source.read_lance(images_path, columns=columns, num_blocks=num_blocks)
-    # block count sets downstream TASK granularity: ~4 blocks/CPU
-    # keeps a per-image stage's tail short (per-image work is highly
-    # variable); a single big parquet otherwise reads as ONE task
-    return rd.read_parquet(
-        images_path,
-        columns=columns,
-        override_num_blocks=num_blocks or 4 * _cluster_cpus(),
-    )
+        replay = functools.partial(
+            lance_source.read_lance, images_path, columns=columns, num_blocks=num_blocks
+        )
+    else:
+        replay = functools.partial(
+            rd.read_parquet,
+            images_path,
+            columns=columns,
+            override_num_blocks=num_blocks or 4 * _cluster_cpus(),
+        )
+    return Scan(units, functools.partial(_unit_rows, columns=columns), replay, n_rows)
 
 
 def _cluster_cpus():
@@ -519,21 +530,6 @@ def _record_skipped(out_dir, skipped):
     )
     old = lineage.read_record(out_dir, "skipped_images") or {}
     lineage.write_record(out_dir, "skipped_images", {**old, **skipped})
-
-
-def _run_units(units, fn):
-    """``fn`` (unit → table) once per unit, one plain Ray task
-    each, not a Ray Data job: on a 4-CPU session a Ray Data task per
-    unit cost ~25 ms of scheduling each, more than most units' work, and
-    its executor ran only two such tasks at a time under a 768 MB object
-    store. Returns the object refs of the result tables once every task
-    has finished (a task's error raises here)."""
-    import ray
-
-    run = ray.remote(fn)
-    refs = [run.remote(u) for u in units]
-    ray.get(refs)
-    return refs
 
 
 def _commit_rows(refs):

@@ -1,4 +1,5 @@
-"""Generic relational operators over Ray Data (SURVEY.md §2 J5, A, O, D).
+"""Generic relational operators: plain-task scans, broadcast lookups,
+and Ray Data for the wide steps (SURVEY.md §2 J5, A, O, D).
 
 The reference has no relational layer; this exists for the driver's
 DuckDB-oracle correctness gate (``__ray_entry__.py`` contract) and as
@@ -8,16 +9,27 @@ pandas merge per batch), bucket-hash both sides when large
 (tagged union → ``groupby(bucket)`` → per-bucket pandas merge),
 pre-aggregate inside ``map_batches`` before any groupby.
 
+:func:`read` returns a lazy :class:`~tilers_tools_ray.scan.Scan`, not
+a Ray Data ``Dataset``: per-batch maps chain onto it, and collecting it
+(``to_pandas``, ``count``, ``materialize``) runs the read and the maps
+as one plain Ray task per unit (a row group, or a row slice of one when
+row groups are fewer than CPUs), with no Ray Data job. Any other
+``Dataset`` method (groupby, sort, join, union, an actor pool) replays
+the scan as the Ray Data plan it stands for and runs there.
+
 Every broadcast lookup (merge, semi/anti key filter, Bloom test,
-candidate count) runs as a plain stateless task that fetches its state
-through :func:`worker_cached`, so Ray Data fuses it into the upstream
-read and no actor pool is started. A join partitions (Ray's hash
-shuffle, which starts one aggregator actor per partition) only when
-its size guard says the small side does not fit ``broadcast_limit``.
+candidate count) is a stateless per-batch map that fetches its state
+through :func:`worker_cached`, so it runs inside the scan's tasks (or
+fuses into Ray Data's read) and no actor pool is started. A join
+partitions (Ray's hash shuffle, which starts one aggregator actor per
+partition) only when its size guard says the small side does not fit
+``broadcast_limit``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from collections import OrderedDict
 
@@ -25,6 +37,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..scan import Scan
 
 TABLES = (
     "region",
@@ -40,6 +54,42 @@ TABLES = (
 )
 
 
+def _parquet_files(path):
+    if isinstance(path, (list, tuple)):
+        return list(path)
+    if os.path.isdir(path):
+        return sorted(
+            os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet")
+        )
+    return [path]
+
+
+def _row_groups(path):
+    """``(file, row group, rows)`` of every row group, in input order,
+    from the footers (read on a thread pool for a many-part directory)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    import pyarrow.parquet as pq
+
+    files = _parquet_files(path)
+    with ThreadPoolExecutor(max_workers=max(1, min(16, len(files)))) as pool:
+        metas = list(pool.map(pq.read_metadata, files))
+    return [
+        (f, i, m.row_group(i).num_rows)
+        for f, m in zip(files, metas)
+        for i in range(m.num_row_groups)
+    ]
+
+
+def _num_blocks(n_row_groups):
+    import ray
+
+    ncpu = 8
+    if ray.is_initialized():
+        ncpu = int(ray.cluster_resources().get("CPU", 8))
+    return min(max(n_row_groups, ncpu, 1), max(200, n_row_groups))
+
+
 def _aligned_num_blocks(path):
     """Row-group-aligned block count for a parquet read. Ray 2.49's
     default applies a 200-block parallelism floor; when the input has
@@ -52,35 +102,76 @@ def _aligned_num_blocks(path):
     only when the row groups are fewer than that (an input with more
     row groups keeps one block per row group). Amplification is then
     bounded by ncpu/row_groups of a column-pruned read (measured
-    0.34 s worst case) instead of 200/row_groups. Footers of a
-    many-part directory are read on a thread pool."""
-    from concurrent.futures import ThreadPoolExecutor
+    0.34 s worst case) instead of 200/row_groups."""
+    return _num_blocks(len(_row_groups(path)))
 
+
+def _slice_units(groups):
+    """The scan plan of ``read``: :func:`_aligned_num_blocks`' count of
+    units. With at least that many row groups each is one unit; with
+    fewer, each row group is cut into row slices in proportion to its
+    rows, so there is still a unit per CPU. A unit is
+    ``(file, row group, first row, end row)``; empty row groups are
+    dropped, and an empty input is no unit."""
+    k = _num_blocks(len(groups))
+    groups = [g for g in groups if g[2]]
+    total = sum(n for *_, n in groups)
+    units = []
+    for f, i, n in groups:
+        s = min(n, max(1, math.ceil(k * n / total))) if len(groups) < k else 1
+        units += [(f, i, n * j // s, n * (j + 1) // s) for j in range(s)]
+    return units
+
+
+def _read_slice(unit, columns):
+    """One unit's rows as one table: its row group streamed with
+    ``iter_batches``, keeping only the slice's rows and stopping at its
+    last one, so a task holds its slice plus one batch, never the whole
+    row group. (One table, not a piece per batch: Ray's concat of
+    tables that carry pandas metadata logs "Failed to hash the
+    schemas" for every call.)"""
     import pyarrow.parquet as pq
-    import ray
 
-    if isinstance(path, (list, tuple)):
-        files = list(path)
-    elif os.path.isdir(path):
-        files = [
-            os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet")
-        ]
-    else:
-        files = [path]
-    with ThreadPoolExecutor(max_workers=max(1, min(16, len(files)))) as pool:
-        nrg = sum(pool.map(lambda p: pq.read_metadata(p).num_row_groups, files))
-    ncpu = 8
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    return min(max(nrg, ncpu, 1), max(200, nrg))
+    f, i, lo, hi = unit
+    if i is None:  # an empty input: zero rows, typed
+        schema = pq.read_schema(f)
+        return [schema.empty_table().select(columns or schema.names)]
+    pieces, pos = [], 0
+    pf = pq.ParquetFile(f)
+    for batch in pf.iter_batches(row_groups=[i], columns=columns):
+        end = pos + batch.num_rows
+        if end > lo:
+            a = max(lo - pos, 0)
+            piece = batch.slice(a, min(hi, end) - pos - a)
+            if piece.num_rows < batch.num_rows:
+                # copied: a view would pin the whole batch
+                piece = piece.take(pa.array(np.arange(piece.num_rows)))
+            pieces.append(piece)
+        pos = end
+        if pos >= hi:
+            break
+    return [pa.Table.from_batches(pieces, schema=pieces[0].schema)]
 
 
 def read(sf_dir, table, columns=None):
+    """A lazy plain-task scan (:class:`Scan`) of one table: one task
+    per :func:`_slice_units` unit. Its Ray Data plan, for any wide
+    step, is ``read_parquet`` with :func:`_aligned_num_blocks`."""
     import ray.data as rd
 
     path = os.path.join(sf_dir, f"{table}.parquet")
-    return rd.read_parquet(
-        path, columns=columns, override_num_blocks=_aligned_num_blocks(path)
+    groups = _row_groups(path)
+    units = _slice_units(groups) or [(_parquet_files(path)[0], None, 0, 0)]
+    return Scan(
+        units,
+        functools.partial(_read_slice, columns=columns),
+        functools.partial(
+            rd.read_parquet,
+            path,
+            columns=columns,
+            override_num_blocks=_num_blocks(len(groups)),
+        ),
+        rows=sum(n for *_, n in groups),
     )
 
 
@@ -1221,8 +1312,6 @@ def _bloom_pow(n_keys, bits_per_key=12, lo_pow=16, hi_pow=27):
     the bitmap broadcastable where the raw key SET never would be —
     beyond ~10⁸ keys the FP rate degrades gracefully instead of the
     bitmap growing unboundedly)."""
-    import math
-
     pow_ = math.ceil(math.log2(max(1, int(n_keys)) * bits_per_key))
     return min(hi_pow, max(lo_pow, pow_))
 

@@ -44,7 +44,9 @@ def _to_pandas(res):
     import pyarrow as pa
     import ray.data as rd
 
-    if isinstance(res, rd.Dataset):
+    from tilers_tools_ray.scan import Scan
+
+    if isinstance(res, (rd.Dataset, Scan)):
         return res.to_pandas()
     if isinstance(res, pa.Table):
         return res.to_pandas()
