@@ -713,26 +713,33 @@ def _assert_oracle_equal(name, got, oracles):
     assert dict(zip(got["region_id"], got["n_images"])) == want, name
 
 
-#: swept queries whose every step is a scan, a per-batch map, a
-#: broadcast lookup and a collect to the driver
-_NARROW_QUERIES = (
+#: the 14 queries perfbench's query_sweep runs: scans, per-batch maps,
+#: broadcast lookups, groupby → map_groups and sort exchanges, and
+#: collects to the driver
+_SWEPT_QUERIES = (
     "q1_pricing_summary",
     "q5_nation_revenue",
     "q9_product_profit",
+    "q18_large_orders",
     "q22_idle_rich_customers",
+    "events_sessionize",
+    "customer_order_windows",
+    "dedup_exact_docs",
     "doc_top_terms",
     "benchmark_contamination",
     "ngram_decontamination",
+    "ann_cosine_topk",
     "nation_segment_cube",
     "spatial_join_images",
 )
 
 
 def test_narrow_queries_start_no_ray_data_job(registry, monkeypatch):
-    """A query that only scans, maps per batch and collects runs as
-    plain tasks (``ops.read`` / ``pyramid.images_dataset`` scans): with
-    Ray Data's streaming executor patched to raise, each result still
-    equals its DuckDB oracle, or golden for the spatial join."""
+    """Every swept query runs as plain tasks: scans and per-batch maps
+    (``ops.read`` / ``pyramid.images_dataset`` scans) and the
+    ``groupby → map_groups`` and ``sort`` exchanges of ``scan.Scan``.
+    With Ray Data's streaming executor patched to raise, each result
+    still equals its DuckDB oracle, or golden for the spatial join."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     def no_job(self, *args, **kwargs):
@@ -740,7 +747,7 @@ def test_narrow_queries_start_no_ray_data_job(registry, monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", no_job)
     qs, oracles = registry
-    for name in _NARROW_QUERIES:
+    for name in _SWEPT_QUERIES:
         _assert_oracle_equal(name, _to_pandas(qs[name](SF)), oracles)
 
 

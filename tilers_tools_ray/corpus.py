@@ -26,6 +26,7 @@ from . import codecs
 from . import geometry as geo
 from . import raster
 from . import tilegrid as tg
+from .scan import _run_units
 
 SCALES = {"tiny": 200, "small": 5000, "bench": 50000}
 N_HOTSPOTS = 50
@@ -369,11 +370,21 @@ def gen_coverage(seed, n_regions):
     )
 
 
+def _write_part(part, seed, hot):
+    """One part file of the multi-file layout: ids ``lo:hi``."""
+    path, lo, hi = part
+    rows = [gen_row(i, seed, *hot) for i in range(lo, hi)]
+    pq.write_table(rows_to_table(rows), path, row_group_size=max(100, (hi - lo) // 4))
+
+
 def generate(out_dir, scale="tiny", seed=1234, n_rows=None, use_ray=False):
     """Write images.parquet + coverage.parquet under ``out_dir``.
 
-    Returns {"images": path, "coverage": path}. Idempotent: skips
-    regeneration when both files already exist."""
+    ``use_ray=True`` or more than 2000 rows writes ``images`` as a
+    directory of 32 parts; with ``use_ray`` each part is made by one
+    plain Ray task (``scan._run_units``), else the parts are written in
+    a loop. Returns {"images": path, "coverage": path}. Idempotent:
+    skips regeneration when both files already exist."""
     n = n_rows if n_rows is not None else SCALES[scale]
     n_regions = {"tiny": 24, "small": 100}.get(scale, 200)
     os.makedirs(out_dir, exist_ok=True)
@@ -384,66 +395,30 @@ def generate(out_dir, scale="tiny", seed=1234, n_rows=None, use_ray=False):
     if os.path.exists(done_marker):
         return {"images": images_path, "coverage": coverage_path}
     hot_pts, hot_w = hotspots(seed)
-    if use_ray:
-        import ray
-        import ray.data as rd
-
-        def gen_batch(batch):
-            rows = [
-                gen_row(int(i), seed, hot_pts, hot_w) for i in batch["id"]
-            ]
-            return rows_to_table(rows)
-
-        ds = rd.range(n, override_num_blocks=max(8, n // 2000))
-        ds = ds.map_batches(gen_batch, batch_format="pandas", batch_size=500)
-        tmp = images_path + ".tmp"
-        ds.write_parquet(tmp)
-        table = pq.read_table(tmp)
-        # take() on a chunked int32-offset binary column concatenates
-        # all chunks and overflows Arrow's 2 GiB offset limit (hit at
-        # the 100k-image bench corpus, ~2.7 GB of payload) — widen the
-        # payload column to large_binary (int64 offsets) for the gather
-        # and cast each written part back so the on-disk schema is
-        # byte-identical to the small-corpus path
-        schema_narrow = table.schema
-        bi = schema_narrow.get_field_index("bytes")
-        table = table.set_column(
-            bi,
-            pa.field("bytes", pa.large_binary()),
-            table.column("bytes").cast(pa.large_binary()),
-        )
-        idx = pa.compute.sort_indices(
-            table, sort_keys=[("image_id", "ascending")]
-        )
-        import shutil
-
-        shutil.rmtree(tmp)
-    else:
-        table = rows_to_table([gen_row(i, seed, hot_pts, hot_w) for i in range(n)])
-        idx = None
-        schema_narrow = table.schema
     if multi:
         # deterministic multi-file layout → parallel reads downstream
-        # (a single big parquet file reads as ONE serial Ray task)
+        # (a single big parquet file reads as ONE serial Ray task): part
+        # i holds ids bounds[i]:bounds[i+1], and the zero-padded
+        # image_id makes id order image_id order
         os.makedirs(images_path, exist_ok=True)
         k = 32
         bounds = [n * i // k for i in range(k + 1)]
-        for i in range(k):
-            lo, hi = bounds[i], bounds[i + 1]
-            if hi > lo:
-                part = (
-                    table.take(idx.slice(lo, hi - lo)).cast(schema_narrow)
-                    if idx is not None
-                    else table.slice(lo, hi - lo)
-                )
-                pq.write_table(
-                    part,
-                    os.path.join(images_path, f"part-{i:04d}.parquet"),
-                    row_group_size=max(100, (hi - lo) // 4),
-                )
+        parts = [
+            (os.path.join(images_path, f"part-{i:04d}.parquet"), lo, hi)
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo
+        ]
+
+        def write(part):
+            _write_part(part, seed, (hot_pts, hot_w))
+
+        if use_ray:  # one plain task per part
+            _run_units(parts, write)
+        else:
+            for part in parts:
+                write(part)
     else:
-        if idx is not None:
-            table = table.take(idx)
+        table = rows_to_table([gen_row(i, seed, hot_pts, hot_w) for i in range(n)])
         pq.write_table(table, images_path, row_group_size=max(100, n // 8))
     pq.write_table(gen_coverage(seed, n_regions), coverage_path)
     with open(done_marker, "w") as f:

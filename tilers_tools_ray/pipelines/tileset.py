@@ -222,10 +222,10 @@ def export_tree(
     layout="xyz",
     fmt="png",
     skip_existing=False,
-    concurrency=(1, 8),
 ):
     """Write a real tile tree ``root/z/x/y.ext`` (+ tilemap.json
-    sidecar). The writer is a side-effect map_batches stage returning
+    sidecar). The writer is a side-effect map_batches stage of stateless
+    tasks (no actor pool, so no concurrency to set) returning
     (z, x, y, path, n_bytes, wrote) rows; the upstream pipeline
     executes exactly ONCE — the tilemap stats are aggregated from the
     writer's own output rows, never from a re-run of the input.

@@ -38,7 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..scan import Scan
+from ..scan import Scan, _num_blocks
 
 TABLES = (
     "region",
@@ -79,15 +79,6 @@ def _row_groups(path):
         for f, m in zip(files, metas)
         for i in range(m.num_row_groups)
     ]
-
-
-def _num_blocks(n_row_groups):
-    import ray
-
-    ncpu = 8
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    return min(max(n_row_groups, ncpu, 1), max(200, n_row_groups))
 
 
 def _aligned_num_blocks(path):
