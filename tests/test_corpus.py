@@ -4,6 +4,7 @@ import hashlib
 import os
 
 import pyarrow.parquet as pq
+import pytest
 
 from tilers_tools_ray import corpus
 
@@ -78,3 +79,16 @@ def test_ray_parts_match_the_ray_data_writer(ray_session, tmp_path, monkeypatch)
     assert rows == _PARTS_40_99_ROWS
     assert digests == _PARTS_40_99_DIGESTS
     assert ids == sorted(ids) and len(set(ids)) == 40
+
+
+def test_a_failed_part_write_raises(ray_session, tmp_path, monkeypatch):
+    """A part task's error raises from ``generate`` and leaves no
+    ``_DONE`` marker, so a rerun writes the corpus again."""
+
+    def fail(part, seed, hot):
+        raise RuntimeError(f"part write failed: {os.path.basename(part[0])}")
+
+    monkeypatch.setattr(corpus, "_write_part", fail)
+    with pytest.raises(RuntimeError, match="part write failed"):
+        corpus.generate(str(tmp_path / "c"), n_rows=40, seed=99, use_ray=True)
+    assert not os.path.exists(tmp_path / "c" / "_DONE")

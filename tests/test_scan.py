@@ -152,6 +152,28 @@ def test_count_without_steps_starts_no_task(ray_session, tables, monkeypatch):
         ops.read(tables, "one").select_columns(["k"]).count()
 
 
+def test_run_units_raises_task_errors_and_returns_refs(ray_session):
+    """One runner for single and ``n``-result tasks: a task's error
+    raises from the call, and the results come back as refs."""
+    import ray
+
+    def pair(u):
+        if u == 2:
+            raise RuntimeError("unit 2 failed")
+        return [u, 10 * u]
+
+    with pytest.raises(RuntimeError, match="unit 2 failed"):
+        scan._run_units([1, 2, 3], lambda u: pair(u)[0])
+    with pytest.raises(RuntimeError, match="unit 2 failed"):
+        scan._run_units([1, 2, 3], pair, 2)
+    refs = scan._run_units([1, 3], pair, 2)
+    assert all(isinstance(r, ray.ObjectRef) for rs in refs for r in rs)
+    assert [ray.get(rs) for rs in refs] == [[1, 10], [3, 30]]
+    assert [ray.get(rs) for rs in scan._run_units([4, 5], lambda u: [u], 1)] == [[4], [5]]
+    assert ray.get(scan._run_units([4, 5], lambda u: u + 1)) == [5, 6]
+    assert scan._run_units([], pair, 2) == []
+
+
 def _today(tables, name, columns=None):
     """The Dataset ``ops.read`` returned before it returned a Scan."""
     import ray.data as rd

@@ -107,29 +107,6 @@ def test_image_features_stage():
     assert all(0.0 <= v <= 1.0 for f in feats for v in f)
 
 
-def test_audio_stub_contract():
-    batch = pa.table(
-        {
-            "clip_id": ["a", "b"],
-            "bytes": [b"\x01\x02payload", b"\x03other"],
-        }
-    )
-    out = multimodal.AudioFeatures(fake=True)(batch)
-    out2 = multimodal.AudioFeatures(fake=True)(batch)
-    assert out.equals(out2)  # deterministic fake decode
-    with pytest.raises(NotImplementedError):
-        multimodal.AudioFeatures(fake=False)(batch)
-
-
-def test_video_stub_contract():
-    batch = pa.table({"video_id": ["v1"], "bytes": [b"\x09vid"]})
-    out = multimodal.VideoFrameSample(every_n_frames=60, fake=True)(batch)
-    assert out.num_rows >= 1
-    assert out.column("frame_idx").to_pylist()[0] == 0
-    with pytest.raises(NotImplementedError):
-        multimodal.VideoFrameSample(fake=False)(batch)
-
-
 KML = """<?xml version="1.0"?>
 <kml><GroundOverlay><name>chart-1</name>
 <!-- size 400x300 -->

@@ -14,11 +14,12 @@ driver-side plan (``_run_units``):
    → each slice's fragments spilled (_spill_fn) to one part-sorted file,
      one row group per (part, salt); the task returns index rows → driver
    → driver plan: one unit per unsalted part, one per (part, salt) of a
-     salted part (§4.2); each unit reads only its own row groups
-        plain: composite_part_group → per-part atomic commit (§4.3)
-        salted: partial_composite_group → partial file in the exchange
-   → salted parts only: one unit per part merges its partials in salt
-     order (merge_partials_group) → per-part atomic commit
+     salted part (§4.2); each unit reads only its own row groups and
+     runs the per-tile fold (tiling.fold_part) over them
+        plain: tile rows → per-part atomic commit (§4.3)
+        salted: partial rows → partial file in the exchange
+   → salted parts only: one unit per part runs the same fold over its
+     partials (salt order) → per-part atomic commit
   overview cascade(s), down to z_min — no shuffle
    driver plan: level z's committed part files (from its manifests)
      grouped by anchor cell: several whole parts per cell, or one part
@@ -69,7 +70,7 @@ import pyarrow.parquet as pq
 # time on the worker (ModuleNotFoundError under a path-less driver).
 from .. import raster
 from .. import tilegrid as tg
-from ..scan import Scan, _run_units
+from ..scan import Scan, _cluster_cpus, _run_units
 from ..sources import lance_source
 from ..stages import tiling
 from ..state import lineage
@@ -121,38 +122,29 @@ def _prune_optional(images_path, columns):
     return [c for c in columns if c in names or c not in OPTIONAL_COLUMNS]
 
 
-def images_dataset(images_path, columns=None, num_blocks=None):
+def images_dataset(images_path, columns=None):
     """A lazy plain-task scan (``scan.Scan``) of the images table: one
     task per ``_image_units`` unit (whole row groups or Lance fragments,
     never split, so image bytes are read once). Its Ray Data plan, for
-    any wide step or actor pool, is the native read with ``num_blocks``
-    blocks (default ~4 per CPU: per-image work is highly variable, so
-    small blocks keep a stage's tail short)."""
+    any wide step or actor pool, is the native read: parquet in ~4
+    blocks per CPU (per-image work is highly variable, so small blocks
+    keep a stage's tail short), Lance with Ray Data's own block count."""
     import ray.data as rd
 
     columns = _prune_optional(images_path, columns or FRAG_COLUMNS)
     units, n_rows = _image_units(images_path)
     if lance_source.is_lance_uri(images_path):  # S9 native scan
         replay = functools.partial(
-            lance_source.read_lance, images_path, columns=columns, num_blocks=num_blocks
+            lance_source.read_lance, images_path, columns=columns
         )
     else:
         replay = functools.partial(
             rd.read_parquet,
             images_path,
             columns=columns,
-            override_num_blocks=num_blocks or 4 * _cluster_cpus(),
+            override_num_blocks=4 * _cluster_cpus(),
         )
     return Scan(units, functools.partial(_unit_rows, columns=columns), replay, n_rows)
-
-
-def _cluster_cpus():
-    try:
-        import ray
-
-        return int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        return 8
 
 
 def _effective_res(batch: pa.Table, profile="mercator") -> np.ndarray:
@@ -505,7 +497,8 @@ def _spill_fn(exchange):
 
 
 def _read_fragments(path, row_group):
-    """One (part, salt) row group of a spilled fragment file."""
+    """One row group of an exchange file: a (part, salt) of a spilled
+    fragment file, or a partial file (one row group)."""
     return pq.ParquetFile(path).read_row_group(row_group)
 
 
@@ -516,7 +509,10 @@ def _partial_path(exchange, part, salt):
 def _write_partial(exchange, part, salt, table):
     final = _partial_path(exchange, part, salt)
     tmp = f"{final}.tmp.{os.getpid()}"
-    pq.write_table(table, tmp, compression="none", use_dictionary=False)
+    pq.write_table(
+        table, tmp, row_group_size=max(table.num_rows, 1), compression="none",
+        use_dictionary=False,
+    )
     os.replace(tmp, final)
 
 
@@ -542,12 +538,13 @@ def _commit_rows(refs):
 def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
                 salt_plan=None, **emit_kwargs):
     """The base level with no shuffle (A1, §4.2): emit + spill into
-    ``exchange``, then one reduce per unit reading its own row groups,
-    then one merge per salted part (all through ``_run_units``). With
-    ``commit_dir`` every part is committed there, the result holds one
-    ``COMMIT_SCHEMA`` row per part, and the images the emitter skipped
-    are recorded; without, the result is the tile rows. Returns the
-    object refs of the result tables."""
+    ``exchange``, then one fold (``tiling.fold_part``) per unit reading
+    its own row groups, then one fold per salted part over its partials
+    (all through ``_run_units``; a reduce's error raises before the
+    merges start). With ``commit_dir`` every part is committed there,
+    the result holds one ``COMMIT_SCHEMA`` row per part, and the images
+    the emitter skipped are recorded; without, the result is the tile
+    rows. Returns the object refs of the result tables."""
     import ray
 
     shutil.rmtree(exchange, ignore_errors=True)
@@ -562,49 +559,40 @@ def _base_level(images_path, exchange, z_base, z_part, commit_dir=None, *,
     )
     bad = pc.is_null(index.column("path"))
     if commit_dir is None:
-        finish, empty = (lambda fn: fn), tiling.TILE_SCHEMA.empty_table()
+        fold, empty = tiling.fold_part, tiling.TILE_SCHEMA.empty_table()
     else:
         skipped = index.filter(bad)
         _record_skipped(
             commit_dir,
             dict(zip(skipped.column("image_id").to_pylist(), skipped.column("reason").to_pylist())),
         )
-        finish = lambda fn: _commit_group_fn(commit_dir, lambda g: [(z_base, fn(g))])
+        fold = _commit_group_fn(commit_dir, lambda g: [(z_base, tiling.fold_part(g))])
         empty = COMMIT_SCHEMA.empty_table()
-    composite = finish(tiling.composite_part_group)
-    merge = finish(tiling.merge_partials_group)
     plan = salt_plan or {}
     units, salts = {}, {}
     index = index.filter(pc.invert(bad))
     for p, s, path, rg in zip(
         *(index.column(c).to_pylist() for c in ("part", "salt", "path", "row_group"))
     ):
-        u = units.setdefault((p, s), {"part": p, "salt": s, "paths": [], "row_groups": []})
-        u["paths"].append(path)
-        u["row_groups"].append(rg)
-        if plan.get(p, 1) > 1:
+        salted = plan.get(p, 1) > 1
+        u = units.setdefault((p, s), {"part": p, "salt": s, "partial": salted, "reads": []})
+        u["reads"].append((path, rg))
+        if salted:
             salts.setdefault(p, set()).add(s)
 
     def reduce(u):
-        frags = pa.concat_tables(
-            [_read_fragments(*r) for r in zip(u["paths"], u["row_groups"])]
-        )
-        if u["part"] not in salts:
-            return composite(frags)
-        _write_partial(exchange, u["part"], u["salt"], tiling.partial_composite_group(frags))
+        states = pa.concat_tables([_read_fragments(*r) for r in u["reads"]])
+        if not u["partial"]:
+            return fold(states)
+        _write_partial(exchange, u["part"], u["salt"], tiling.fold_part(states, partial=True))
         return empty
 
-    def merge_part(u):
-        return merge(pa.concat_tables([pq.ParquetFile(p).read() for p in u["paths"]]))
-
     parts = _run_units(list(units.values()), reduce)  # before the merges
-    return parts + _run_units(
-        [
-            {"paths": [_partial_path(exchange, p, s) for s in sorted(ss)]}
-            for p, ss in sorted(salts.items())
-        ],
-        merge_part,
-    )
+    merges = [
+        {"partial": False, "reads": [(_partial_path(exchange, p, s), 0) for s in sorted(ss)]}
+        for p, ss in sorted(salts.items())
+    ]
+    return parts + _run_units(merges, reduce)
 
 
 # ---------------------------------------------------------------------------

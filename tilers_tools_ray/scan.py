@@ -2,7 +2,8 @@
 :class:`Scan` both layers build on them.
 
 ``_run_units`` runs ``fn`` once per unit as one plain task each. The
-pyramid runs every stage through it; the query layer's scans do too.
+pyramid runs every stage through it; the query layer's scans and
+exchanges do too.
 
 A :class:`Scan` records its input units, how a task reads one unit,
 and the narrow steps after the read (``map_batches`` with a function
@@ -52,46 +53,42 @@ _SORT_SAMPLES = 64
 _NUMBER_KINDS = frozenset({"boolean", "integer", "floating", "mixed-integer-float"})
 
 
+def _cluster_cpus():
+    """The Ray cluster's CPU count, or 8 when Ray is not initialized."""
+    import ray
+
+    if not ray.is_initialized():
+        return 8
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
 def _num_blocks(n_units):
     """Blocks (or reducers) for an input of ``n_units``: at least the
     CPU count, at most 200 unless the input has more units."""
-    import ray
-
-    ncpu = 8
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    return min(max(n_units, ncpu, 1), max(200, n_units))
+    return min(max(n_units, _cluster_cpus(), 1), max(200, n_units))
 
 
-def _run_units(units, fn):
+def _run_units(units, fn, n=None):
     """``fn`` (unit → result) once per unit, one plain Ray task each,
     not a Ray Data job: on a 4-CPU session a Ray Data task per unit cost
     ~25 ms of scheduling each, more than most units' work, and its
     executor ran only two such tasks at a time under a 768 MB object
-    store. Returns the object refs of the results once every task has
-    finished (a task's error raises here)."""
+    store. With ``n``, ``fn`` returns a list of ``n`` results, each its
+    own object (``num_returns``).
+
+    Returns, once every task has finished, the ref of each unit's result
+    (with ``n``: the list of its ``n`` refs). A task's error raises here.
+    The results stay in the object store: each task also returns a
+    ``None`` token, and the driver fetches only the tokens."""
     import ray
 
-    run = ray.remote(fn)
+    def task(u):
+        return (*(fn(u) if n else [fn(u)]), None)
+
+    run = ray.remote(num_returns=(n or 1) + 1)(task)
     refs = [run.remote(u) for u in units]
-    ray.get(refs)
-    return refs
-
-
-def _run_split(units, fn, n):
-    """``fn`` (unit → a list of ``n`` results) once per unit, one plain
-    Ray task each with ``num_returns=n``. Returns, per unit, the refs of
-    its ``n`` results once every task has finished; the results stay in
-    the object store (a task's error raises where a result is read)."""
-    import ray
-
-    run = ray.remote(num_returns=n)(fn if n > 1 else lambda u: fn(u)[0])
-    refs = [run.remote(u) for u in units]
-    refs = [list(r) if n > 1 else [r] for r in refs]
-    flat = [r for rs in refs for r in rs]
-    if flat:
-        ray.wait(flat, num_returns=len(flat), fetch_local=False)
-    return refs
+    ray.get([r[-1] for r in refs])
+    return [list(r[:-1]) if n else r[0] for r in refs]
 
 
 def _by_reducer(refs):
@@ -479,7 +476,7 @@ class Scan:
         import ray.data as rd
 
         read, steps = self._read, self._steps
-        refs = _run_split(self._plan_units(), lambda u: _block_and_rows(read, steps, u), 2)
+        refs = _run_units(self._plan_units(), lambda u: _block_and_rows(read, steps, u), 2)
         blocks = [b for b, _ in refs]
         rows = int(sum(ray.get([n for _, n in refs])))
         return Scan(blocks, _block_read, functools.partial(rd.from_arrow_refs, blocks), rows)
@@ -501,7 +498,7 @@ class Scan:
             units = self._plan_units()
             n = _num_blocks(len(units))
             return _by_reducer(
-                _run_split(units, lambda u: _hash_split(_unit_block(read, steps, u), keys, n), n)
+                _run_units(units, lambda u: _hash_split(_unit_block(read, steps, u), keys, n), n)
             )
 
         return Scan(
@@ -526,10 +523,10 @@ class Scan:
         def plan():
             units = self._plan_units()
             n = _num_blocks(len(units))
-            first = _run_split(units, lambda u: _sort_sample(_unit_block(read, steps, u), keys, desc), 2)
+            first = _run_units(units, lambda u: _sort_sample(_unit_block(read, steps, u), keys, desc), 2)
             cut = _splitters(ray.get([s for _, s in first]), n)
             return _by_reducer(
-                _run_split([b for b, _ in first], lambda b: _range_split(b, keys, desc, cut, n), n)
+                _run_units([b for b, _ in first], lambda b: _range_split(b, keys, desc, cut, n), n)
             )
 
         return Scan(

@@ -48,7 +48,7 @@ def read_fragment(uri, fragment_id, columns):
     return ds.get_fragment(fragment_id).to_table(columns=columns)
 
 
-def read_lance(uri, columns=None, num_blocks=None):
+def read_lance(uri, columns=None):
     """Open a Lance dataset as a Ray Dataset (column-pruned scan)."""
     _require_lance()
     import ray.data as rd
@@ -56,6 +56,4 @@ def read_lance(uri, columns=None, num_blocks=None):
     kwargs = {}
     if columns is not None:
         kwargs["columns"] = columns
-    if num_blocks is not None:
-        kwargs["override_num_blocks"] = num_blocks
     return rd.read_lance(uri, **kwargs)

@@ -1,18 +1,10 @@
 """Multimodal column stages (graft scope — opaque binary payloads with
-typed metadata, processed by actor-pool ``map_batches``).
+typed metadata, processed by ``map_batches``).
 
-Image ops are REAL (this repo ships pure-numpy codecs). Audio/video
-decode requires libraries absent from this container, so those stages
-are STUBS by design: the Ray-side plumbing (schema, batch shape, actor
-signature, output layout) is real and tested; the codec call raises
-``NotImplementedError`` unless ``fake=True`` substitutes a
-deterministic synthetic decode (seeded from the payload hash) so
-pipelines can be exercised end-to-end.
+The image ops decode and encode with this repo's pure-numpy codecs.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -140,79 +132,3 @@ class ImageQuality:
             }
         )
 
-
-def _seeded_rng(blob):
-    h = hashlib.md5(blob[:64] if blob else b"").digest()
-    return np.random.default_rng(int.from_bytes(h[:8], "little"))
-
-
-class AudioFeatures:
-    """STUB (no audio codec in this container): schema/batching real,
-    decode synthetic. ``fake=True`` → deterministic pseudo-features
-    seeded from the payload; ``fake=False`` → NotImplementedError.
-    Output: (clip_id, n_samples, rms, zero_cross_rate)."""
-
-    def __init__(self, fake=True, sample_rate=16000):
-        self.fake = fake
-        self.sr = sample_rate
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "audio decode requires an audio codec library (absent in "
-                "this container); run with fake=True for plumbing tests"
-            )
-        ids = batch.column("clip_id").to_pylist()
-        blobs = batch.column("bytes").to_pylist()
-        n_samp, rms, zcr = [], [], []
-        for b in blobs:
-            rng = _seeded_rng(b)
-            n = int(rng.integers(self.sr, 10 * self.sr))
-            wave = rng.normal(0, 0.2, min(n, 4096))
-            n_samp.append(n)
-            rms.append(float(np.sqrt((wave**2).mean())))
-            zcr.append(float((np.diff(np.sign(wave)) != 0).mean()))
-        return pa.table(
-            {
-                "clip_id": pa.array(ids, pa.string()),
-                "n_samples": pa.array(n_samp, pa.int64()),
-                "rms": pa.array(np.round(rms, 6), pa.float64()),
-                "zero_cross_rate": pa.array(np.round(zcr, 6), pa.float64()),
-            }
-        )
-
-
-class VideoFrameSample:
-    """STUB (no video codec): emits one row per sampled frame index
-    with a deterministic fake thumbnail. Real plumbing: fan-out rows,
-    binary thumbnails, frame addressing."""
-
-    def __init__(self, every_n_frames=30, fake=True):
-        self.every = int(every_n_frames)
-        self.fake = fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "video decode requires a video codec library (absent); "
-                "run with fake=True for plumbing tests"
-            )
-        out_id, out_frame, out_thumb = [], [], []
-        for vid, blob in zip(
-            batch.column("video_id").to_pylist(),
-            batch.column("bytes").to_pylist(),
-        ):
-            rng = _seeded_rng(blob)
-            n_frames = int(rng.integers(60, 600))
-            for f in range(0, n_frames, self.every):
-                thumb = rng.integers(0, 256, (8, 8, 3)).astype(np.uint8)
-                out_id.append(vid)
-                out_frame.append(f)
-                out_thumb.append(codecs.encode_raw(thumb))
-        return pa.table(
-            {
-                "video_id": pa.array(out_id, pa.string()),
-                "frame_idx": pa.array(out_frame, pa.int32()),
-                "thumb": pa.array(out_thumb, pa.binary()),
-            }
-        )

@@ -1,26 +1,30 @@
-"""Ray Data stages for the tile pyramid (SURVEY.md §3.1 engine flow).
+"""Stages of the tile pyramid (SURVEY.md §3.1 engine flow), run in
+plain Ray tasks by ``pipelines.pyramid``.
 
 Design: ``part`` is a tile's quadtree ancestor cell at a coarse zoom
 (z_part). There is no shuffle: emitter tasks spill their fragments to
 part-sorted files, and each part (or each salt range of a hot part)
 reads only its own row groups (``pyramid._base_level``). A part is the
 unit of:
-  - the composite reduce (every tile's fragments land in one group,
+  - the base composite (every tile's fragments land in one part,
     because tile cells nest inside part cells),
   - the output parquet file (one file per part → resumable),
   - the lineage manifest row (per-partition lineage, BASELINE.json:14).
 
-Skew (§4.2): hot parts get salted into contiguous-zorder ranges —
-``salt = zorder * s // n_zorder`` — partial-composited per
-(part, salt), then merged per part in salt order. Exact because
-fragment alpha is binary (cutline mask), so composite is
+The base composite is one per-tile fold (``fold_part``) over states
+ordered by (salt, zorder, image_id): a plain part folds its fragments
+into tile rows. Skew (§4.2): a hot part is salted into contiguous-zorder
+ranges — ``salt = zorder * s // n_zorder`` — each range folds its
+fragments into a partial state per tile, and the same fold over the
+part's partials, in salt order, gives its tile rows. Exact because
+fragment alpha is binary (cutline mask), so the composite is
 "latest-opaque-wins per pixel", associative over ordered ranges.
 
-All hot stages use ``batch_format="pyarrow"``; pixels travel as
-zlib-1-packed RGBA ``binary`` values (≈17× smaller than raw for map
-imagery at >250 MB/s — the fragment exchange moves ~150 MB instead
-of 2.5 GB per 10k fragments) — never Python objects. ``pack_pixels`` /
-``unpack_pixels`` are the only codec for in-flight tile pixels.
+Pixels travel as zlib-1-packed RGBA ``binary`` values (≈17× smaller
+than raw for map imagery at >250 MB/s — the fragment exchange moves
+~150 MB instead of 2.5 GB per 10k fragments) — never Python objects.
+``pack_pixels`` / ``unpack_pixels`` are the only codec for in-flight
+tile pixels.
 
 Reference parity: decode = M1 (PIL in the reference), warp-cut =
 gdal_tiler's per-tile warp window (M4–M7), composite = tiles_merge
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import codecs, raster
 from .. import tilegrid as tg
@@ -287,154 +292,113 @@ class TouchedParts:
 
 
 # ---------------------------------------------------------------------------
-# part-group reduces
+# base level (A1): one per-tile fold
 # ---------------------------------------------------------------------------
+
+
+def _tile_table(part, keys, bufs, caps, srcs, sums):
+    """TILE_SCHEMA rows of one part from per-tile columns (packed
+    pixels ``bufs``, checksums ``sums``)."""
+    z, x, y = tg.unpack_key(np.asarray(keys, dtype=np.int64))
+    return pa.table(
+        {
+            "part": pa.array(np.full(len(keys), part), pa.int64()),
+            "tile_key": pa.array(keys, pa.int64()),
+            "z": pa.array(z, pa.int8()),
+            "x": pa.array(x, pa.int32()),
+            "y": pa.array(y, pa.int32()),
+            "pixels": pa.array(bufs, pa.binary()),
+            "caption": pa.array(caps, pa.string()),
+            "src_ids": pa.array(srcs, pa.list_(pa.string())),
+            "checksum": pa.array(sums, pa.int64()),
+        },
+        schema=TILE_SCHEMA,
+    )
 
 
 def _tile_rows(reduced):
     """reduced: list of (part, tile_key, pixels, caption, src_ids)."""
-    out = {k: [] for k in TILE_SCHEMA.names}
-    for part, key, pixels, caption, src_ids in reduced:
-        z, x, y = (int(v) for v in tg.unpack_key(key))
-        out["part"].append(part)
-        out["tile_key"].append(key)
-        out["z"].append(z)
-        out["x"].append(x)
-        out["y"].append(y)
-        out["pixels"].append(pack_pixels(pixels))
-        out["caption"].append(caption)
-        out["src_ids"].append(src_ids)
-        out["checksum"].append(raster.tile_checksum(pixels))
-    return pa.table(out, schema=TILE_SCHEMA)
+    part = reduced[0][0] if reduced else 0
+    return _tile_table(
+        part,
+        [r[1] for r in reduced],
+        [pack_pixels(r[2]) for r in reduced],
+        [r[3] for r in reduced],
+        [r[4] for r in reduced],
+        [raster.tile_checksum(r[2]) for r in reduced],
+    )
 
 
-def composite_part_group(group: pa.Table) -> pa.Table:
-    """All fragments of one part → that part's tile rows (A1/J4).
+def _opaque(pixels):
+    return int((pixels[:, :, 3] > 0).sum())
 
-    Fast path: a tile with a single contributing fragment passes its
-    packed pixel buffer straight through (no decompress → composite →
-    recompress cycle); most tiles are single-source in practice."""
-    keys = group.column("tile_key").to_pylist()
-    zo = group.column("zorder").to_pylist()
-    ids = group.column("image_id").to_pylist()
-    caps = group.column("caption").to_pylist()
-    frags = group.column("frag").to_pylist()
-    part = int(group.column("part")[0].as_py())
-    per_tile = {}
-    for i, k in enumerate(keys):
-        per_tile.setdefault(k, []).append(i)
-    out = {c: [] for c in TILE_SCHEMA.names}
-    for k in sorted(per_tile):
-        idx = per_tile[k]
+
+def _states(rows: pa.Table):
+    """A part's rows as fold states, one per row: ``(tile_key, salt,
+    zorder, id, caption, packed pixels, coverage, src_ids)`` columns.
+    An emitted fragment (``FRAGMENT_SCHEMA``) is a state of its own
+    pixels, id and caption, ``[id]``, and a coverage not yet counted
+    (``None``); a salted range's partial (``PARTIAL_SCHEMA``) carries
+    its best coverage, id and caption, and its ``src_ids``."""
+    col = lambda name: rows.column(name).to_pylist()
+    if "frag" in rows.schema.names:
+        ids = col("image_id")
+        return (col("tile_key"), col("salt"), col("zorder"), ids, col("caption"),
+                col("frag"), [None] * len(ids), [[i] for i in ids])
+    return (col("tile_key"), col("salt"), [0] * rows.num_rows, col("best_id"),
+            col("best_caption"), col("pixels"), col("best_cov"), col("src_ids"))
+
+
+def fold_part(rows: pa.Table, partial=False) -> pa.Table:
+    """One part's tiles from its states (A1/J4; tiles_merge paste-with-
+    mask, FP-Hadoop's intermediate reduce): ``rows`` are emitted
+    fragments or salted ranges' partials (``_states``), all of one part.
+    Per tile, the states are ordered by (salt, zorder, id) and
+    composited in that order (later paints over earlier), the caption is
+    that of the largest (coverage, smallest id) and ``src_ids`` are
+    concatenated. Returns ``PARTIAL_SCHEMA`` rows with ``partial`` (one
+    salted range; merged later by the same fold, exact because binary
+    alpha makes the composite associative over ordered ranges, SURVEY
+    §7.6), else ``TILE_SCHEMA`` rows.
+
+    A single-state tile passes its packed buffer through, unpacked once
+    only for its checksum (tile rows) or its coverage (a fragment's
+    partial row); most tiles are single-source in practice."""
+    part = int(rows.column("part")[0].as_py())
+    keys, salts, zos, ids, caps, bufs, covs, srcs = _states(rows)
+    order = pc.sort_indices(
+        pa.table({"k": keys, "s": salts, "z": zos, "i": ids}),
+        sort_keys=[(c, "ascending") for c in "kszi"],
+    ).to_numpy()
+    sorted_keys = np.asarray(keys, dtype=np.int64)[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    out = {c: [] for c in ("key", "buf", "cov", "id", "cap", "src", "sum")}
+    for idx in np.split(order, starts[1:]):
+        idx = idx.tolist()
+        tiles = [unpack_pixels(bufs[i]) for i in idx]
         if len(idx) == 1:
-            i = idx[0]
-            buf, caption, src_ids = frags[i], caps[i], [ids[i]]
-            checksum = raster.tile_checksum(_np_frag(buf))
+            buf, pixels = bufs[idx[0]], tiles[0]
         else:
-            entries = [(zo[i], ids[i], caps[i], _np_frag(frags[i])) for i in idx]
-            pixels, caption, src_ids = raster.reduce_base_group(entries)
+            pixels = raster.composite_fragments(tiles)
             buf = pack_pixels(pixels)
-            checksum = raster.tile_checksum(pixels)
-        z, x, y = (int(v) for v in tg.unpack_key(k))
-        out["part"].append(part)
-        out["tile_key"].append(k)
-        out["z"].append(z)
-        out["x"].append(x)
-        out["y"].append(y)
-        out["pixels"].append(buf)
-        out["caption"].append(caption)
-        out["src_ids"].append(src_ids)
-        out["checksum"].append(checksum)
-    return pa.table(out, schema=TILE_SCHEMA)
-
-
-def partial_composite_group(group: pa.Table) -> pa.Table:
-    """Salted variant stage 1: composite one (part, salt) zorder-range."""
-    keys = group.column("tile_key").to_pylist()
-    zo = group.column("zorder").to_pylist()
-    ids = group.column("image_id").to_pylist()
-    caps = group.column("caption").to_pylist()
-    frags = group.column("frag").to_pylist()
-    part = int(group.column("part")[0].as_py())
-    salt = int(group.column("salt")[0].as_py())
-    per_tile = {}
-    for i, k in enumerate(keys):
-        per_tile.setdefault(k, []).append(i)
-    out = {k: [] for k in PARTIAL_SCHEMA.names}
-    for k in sorted(per_tile):
-        idx = per_tile[k]
-        out["part"].append(part)
-        out["salt"].append(salt)
-        out["tile_key"].append(k)
-        if len(idx) == 1:
-            # single fragment in this salt range → reuse its packed
-            # buffer; unpack only for the opaque-coverage count the
-            # caption policy needs at merge time
-            i = idx[0]
-            out["pixels"].append(frags[i])
-            out["best_cov"].append(int((_np_frag(frags[i])[:, :, 3] > 0).sum()))
-            out["best_id"].append(ids[i])
-            out["best_caption"].append(caps[i])
-            out["src_ids"].append([ids[i]])
-            continue
-        entries = sorted(
-            ((zo[i], ids[i], caps[i], _np_frag(frags[i])) for i in idx),
-            key=lambda e: (e[0], e[1]),
-        )
-        pixels = raster.composite_fragments([e[3] for e in entries])
-        covs = [int((e[3][:, :, 3] > 0).sum()) for e in entries]
-        bi = max(
-            range(len(entries)),
-            key=lambda j: (covs[j], raster._neg_id(entries[j][1])),
-        )
-        out["pixels"].append(pack_pixels(pixels))
-        out["best_cov"].append(covs[bi])
-        out["best_id"].append(entries[bi][1])
-        out["best_caption"].append(entries[bi][2])
-        out["src_ids"].append([e[1] for e in entries])
-    return pa.table(out, schema=PARTIAL_SCHEMA)
-
-
-def merge_partials_group(group: pa.Table) -> pa.Table:
-    """Salted variant stage 2: merge one part's partials, per tile, in
-    ascending salt (= ascending zorder range) order."""
-    part = int(group.column("part")[0].as_py())
-    keys = group.column("tile_key").to_pylist()
-    salts = group.column("salt").to_pylist()
-    pix = group.column("pixels").to_pylist()
-    covs = group.column("best_cov").to_pylist()
-    bids = group.column("best_id").to_pylist()
-    bcaps = group.column("best_caption").to_pylist()
-    srcs = group.column("src_ids").to_pylist()
-    per_tile = {}
-    for i, k in enumerate(keys):
-        per_tile.setdefault(k, []).append(i)
-    out = {c: [] for c in TILE_SCHEMA.names}
-    for k in sorted(per_tile):
-        idx = sorted(per_tile[k], key=lambda i: salts[i])
-        if len(idx) == 1:
-            # single partial (unsalted part) → pass the buffer through
-            i = idx[0]
-            buf, caption, src_ids = pix[i], bcaps[i], list(srcs[i])
-            checksum = raster.tile_checksum(_np_frag(buf))
-        else:
-            pixels = raster.composite_fragments([_np_frag(pix[i]) for i in idx])
-            bi = max(idx, key=lambda i: (covs[i], raster._neg_id(bids[i])))
-            buf = pack_pixels(pixels)
-            caption = bcaps[bi]
-            src_ids = [s for i in idx for s in srcs[i]]
-            checksum = raster.tile_checksum(pixels)
-        z, x, y = (int(v) for v in tg.unpack_key(k))
-        out["part"].append(part)
-        out["tile_key"].append(k)
-        out["z"].append(z)
-        out["x"].append(x)
-        out["y"].append(y)
-        out["pixels"].append(buf)
-        out["caption"].append(caption)
-        out["src_ids"].append(src_ids)
-        out["checksum"].append(checksum)
-    return pa.table(out, schema=TILE_SCHEMA)
+        best = 0
+        if partial or len(idx) > 1:
+            cov = [_opaque(t) if covs[i] is None else covs[i] for i, t in zip(idx, tiles)]
+            best = max(range(len(idx)), key=lambda j: (cov[j], raster._neg_id(ids[idx[j]])))
+            out["cov"].append(cov[best])
+        out["key"].append(keys[idx[0]])
+        out["buf"].append(buf)
+        out["id"].append(ids[idx[best]])
+        out["cap"].append(caps[idx[best]])
+        out["src"].append([s for i in idx for s in srcs[i]])
+        if not partial:
+            out["sum"].append(raster.tile_checksum(pixels))
+    if not partial:
+        return _tile_table(part, out["key"], out["buf"], out["cap"], out["src"], out["sum"])
+    n = len(out["key"])
+    cols = [[part] * n, [salts[0]] * n, out["key"], out["buf"], out["cov"], out["id"],
+            out["cap"], out["src"]]
+    return pa.table(dict(zip(PARTIAL_SCHEMA.names, cols)), schema=PARTIAL_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +448,3 @@ def _cascade_levels(group: pa.Table, z_min: int, z_base: int, mode="box"):
             [(part, pk, v[0], v[1], v[2]) for pk, v in sorted(level.items())]
         )
 
-
-# ---------------------------------------------------------------------------
-# encode sink stage (M2)
-# ---------------------------------------------------------------------------
-
-
-class EncodeTiles:
-    """Encode raw tile pixels into the requested format (actor pool)."""
-
-    def __init__(self, fmt="png"):
-        self.fmt = fmt
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        blobs = [
-            codecs.encode_image(_np_frag(p), self.fmt)
-            for p in batch.column("pixels").to_pylist()
-        ]
-        out = batch.append_column("tile_bytes", pa.array(blobs, pa.binary()))
-        return out.append_column(
-            "fmt", pa.array([self.fmt] * batch.num_rows, pa.string())
-        )
